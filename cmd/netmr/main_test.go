@@ -153,7 +153,9 @@ func TestBuildInjector(t *testing.T) {
 // TestRunMasterDegradedPrintsPartialStats kills the only worker mid-job
 // (injected crash on its first task) and checks the master still reports
 // everything it learned — the degradation message, completion counts,
-// and the per-worker breakdown — before exiting with the error.
+// and the per-worker breakdown — before exiting with the error. Losing
+// the last worker must fail the run at once, not after the 5-minute
+// JobTimeout, so the whole exchange is bounded too.
 func TestRunMasterDegradedPrintsPartialStats(t *testing.T) {
 	addr := reservePort(t)
 	workerReady := make(chan error, 1)
@@ -187,11 +189,15 @@ func TestRunMasterDegradedPrintsPartialStats(t *testing.T) {
 	}()
 
 	var sb strings.Builder
+	start := time.Now()
 	err := run([]string{
 		"-role", "master", "-addr", addr,
 		"-job", "wordcount", "-lines", "100", "-shards", "4", "-workers", "1",
 		"-retrybase", "1ms", "-retrymax", "2ms",
 	}, &sb)
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("degraded run took %v; losing the last worker must fail fast", elapsed)
+	}
 	if werr := <-workerReady; werr != nil {
 		t.Fatalf("worker: %v", werr)
 	}

@@ -88,13 +88,13 @@ func (m *zooModel) values() []float64 {
 	return v
 }
 
-// clamp boxes a raw solver vector into the declared bounds.
-func (m *zooModel) clamp(v []float64) []float64 {
-	out := make([]float64, len(v))
+// clamp boxes a raw solver vector into the declared bounds, writing the
+// result into dst (len(v) long) and returning it.
+func (m *zooModel) clamp(dst, v []float64) []float64 {
 	for i := range v {
-		out[i] = math.Min(math.Max(v[i], m.params[i].Min), m.params[i].Max)
+		dst[i] = math.Min(math.Max(v[i], m.params[i].Min), m.params[i].Max)
 	}
-	return out
+	return dst
 }
 
 func (m *zooModel) SetParams(values []float64) error {
@@ -106,7 +106,7 @@ func (m *zooModel) SetParams(values []float64) error {
 			return fmt.Errorf("core: %s parameter %s is NaN", m.name, m.params[i].Name)
 		}
 	}
-	for i, v := range m.clamp(values) {
+	for i, v := range m.clamp(make([]float64, len(values)), values) {
 		m.params[i].Value = v
 	}
 	return nil
@@ -184,8 +184,10 @@ func (m *zooModel) Fit(ns, speedups []float64) (FitReport, error) {
 	}
 	// The solver is unconstrained; the model function clamps, so
 	// excursions outside the box evaluate at the boundary and the
-	// returned vector is re-clamped before being installed.
-	clamped := func(v []float64, n float64) float64 { return m.eval(m.clamp(v), n) }
+	// returned vector is re-clamped before being installed. The solver
+	// evaluates one vector at a time, so one scratch box serves the fit.
+	box := make([]float64, len(m.params))
+	clamped := func(v []float64, n float64) float64 { return m.eval(m.clamp(box, v), n) }
 	res, err := stats.NonlinearFit(clamped, ns, speedups, p0, stats.NLSOptions{})
 	if err != nil {
 		return FitReport{}, fmt.Errorf("core: fit %s: %w", m.name, err)

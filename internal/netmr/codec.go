@@ -9,50 +9,29 @@ import (
 	"sync"
 )
 
-// Wire protocol v2: a length-prefixed binary framing that replaces the
-// line-delimited JSON of v1 on connections that negotiate it (the worker
-// advertises the "bin" capability in its JSON hello, the master answers
-// with a JSON helloack naming the accepted capabilities, and both sides
-// switch). One frame is
+// The wire protocol: length-prefixed binary frames, one fixed layout on
+// every connection — master↔worker and worker↔worker alike. The hello
+// frame carries protocolVersion (protocol.go); a peer of another
+// version is refused with both versions named, so nothing here has to
+// tolerate a second layout. One frame is
 //
-//	uvarint(len(body)) || body
-//	body = type byte || fields... || crc32c(body[:len(body)-4]) (4 B LE)
+//	uvarint(len(wire)) || wire
+//	wire = 0x00 || body                                  (stored)
+//	     | 0x01 || uvarint(len(body)) || lzCompress(body) (compressed)
+//	body = type byte || varint(Version) || fields... || crc32c(body[:len(body)-4]) (4 B LE)
+//
+// The flag byte, type byte and Version lead the frame in every version
+// of the protocol, so a hello whose remaining layout this build cannot
+// decode still reveals its version (peekHello).
 //
 // Every field of message is encoded in a fixed order (strings as uvarint
 // length + bytes, ints as varints, Partial as sorted key/IEEE-754 pairs)
-// so any frame round-trips exactly and unknown type bytes still decode —
-// the binary analogue of v1's "ignore unknown frames" forward
-// compatibility. The trailing CRC-32C keeps single-bit wire corruption
-// detectable, which JSON got for free from parse errors.
-//
-// The layout itself is versioned by capability: the base "bin" layout
-// ends after Batch, only peers that both negotiated "bin2" append the
-// Partitions/Parts fields, peers that further negotiated "trace" append
-// the Trace/Spans fields after those, peers that negotiated "reduce"
-// append the Run/Reducers/Fetch/Bytes/Tasks/Locs fields, peers that
-// negotiated "comp" append the Rep/…/ShuffleMs fields, and peers that
-// negotiated "early" append the Total/Reps/Failovers fields last.
-// Appending any block unconditionally would make every frame
-// undecodable ("trailing bytes") to a peer running a previous binary
-// codec, breaking rolling upgrades of mixed-version clusters — the
-// ext/trc/red/cmp/erl flags on appendFrame/decodeFrame are that
-// negotiation, one consistent tuple of values per connection. The trc,
-// red, cmp and erl blocks are granted only alongside ext but
-// independently of each other, so the layouts on the wire are base,
-// base+ext and any combination of the trc/red/cmp/erl suffixes on top —
-// both sides derive the same tuple from the same negotiated capability
-// set.
-//
-// The "comp" capability additionally wraps every body of the
-// connection in a one-byte flag layer:
-//
-//	0x00 || body                                  (stored)
-//	0x01 || uvarint(len(body)) || lzCompress(body) (compressed)
-//
-// The CRC is computed over the raw body before compression, so the
-// checksum still guards the decompressed payload end to end. Only
+// so any frame round-trips exactly and unknown type bytes still decode
+// (the receiver ignores them). The CRC-32C keeps single-bit wire
+// corruption detectable. It is computed over the raw body before
+// compression, so it guards the decompressed payload end to end. Only
 // bulk payload frames (result/presult/fetchresult/replicate) at or
-// above lzCompressThreshold are candidates, and only when the
+// above lzCompressThreshold are compressed, and only when the
 // compressed form is actually smaller.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
 
@@ -123,61 +102,61 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
+// appendPairs appends a Partial map as sorted key/IEEE-754 pairs, so a
+// frame's bytes never depend on map iteration order. keys is sort
+// scratch, returned grown for reuse.
+func appendPairs(b []byte, m map[string]float64, keys []string) ([]byte, []string) {
+	b = binary.AppendUvarint(b, uint64(len(m)))
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b = appendString(b, k)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m[k]))
+	}
+	return b, keys
+}
+
+func appendInts(b []byte, xs []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = binary.AppendVarint(b, int64(x))
+	}
+	return b
+}
+
+func appendLocs(b []byte, locs []fetchLoc) []byte {
+	b = binary.AppendUvarint(b, uint64(len(locs)))
+	for _, loc := range locs {
+		b = appendString(b, loc.Addr)
+		b = appendInts(b, loc.Tasks)
+	}
+	return b
+}
+
 // appendFrame appends the complete wire frame for m to dst. keys is a
 // reusable scratch slice for sorting Partial (may be nil); the grown
-// scratch is returned for reuse. ext selects the bin2 layout (trailing
-// Partitions/Parts fields), trc the trace layout (trailing Trace/Spans
-// fields after those), red the reduce layout (trailing
-// Run/Reducers/Fetch/Bytes/Tasks/Locs fields), cmp the comp layout
-// (trailing Rep/Spills/Spilled/CompBytes/ShuffleMs fields, plus the
-// one-byte compression flag layer around the whole body), and erl the
-// early layout (trailing Total/Reps/Failovers fields last); an older
-// layout cannot carry the newer fields, so rather than silently
-// dropping them the encode fails.
-func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl bool) ([]byte, []string, error) {
+// scratch is returned for reuse.
+func appendFrame(dst []byte, m *message, keys []string) ([]byte, []string, error) {
 	tb, ok := frameTypes[m.Type]
 	if !ok {
 		return dst, keys, fmt.Errorf("netmr: unencodable frame type %q", m.Type)
-	}
-	if !ext && (m.Partitions != 0 || len(m.Parts) > 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries partition fields but the peer did not negotiate %q", m.Type, capBinaryExt)
-	}
-	if !trc && (m.Trace != "" || len(m.Spans) > 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries trace fields but the peer did not negotiate %q", m.Type, capTrace)
-	}
-	if !red && (m.Run != "" || m.Reducers != 0 || m.Fetch != "" || m.Bytes != 0 || len(m.Tasks) > 0 || len(m.Locs) > 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries reduce fields but the peer did not negotiate %q", m.Type, capReduce)
-	}
-	if !cmp && (m.Rep != "" || len(m.CompAddrs) > 0 || m.Spills != 0 || m.Spilled != 0 || m.CompBytes != 0 || m.ShuffleMs != 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries comp fields but the peer did not negotiate %q", m.Type, capComp)
-	}
-	if !erl && (m.Total != 0 || len(m.Reps) > 0 || m.Failovers != 0) {
-		return dst, keys, fmt.Errorf("netmr: frame %q carries early fields but the peer did not negotiate %q", m.Type, capEarly)
 	}
 	// Reserve room for the length prefix after the body is built; encode
 	// the body at the end of dst and splice the prefix in front.
 	bodyStart := len(dst)
 	b := append(dst, tb)
+	b = binary.AppendVarint(b, int64(m.Version))
 	b = appendString(b, m.ID)
 	b = appendString(b, m.Job)
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
 	b = appendStrings(b, m.Records)
-	b = binary.AppendUvarint(b, uint64(len(m.Partial)))
-	if len(m.Partial) > 0 {
-		keys = keys[:0]
-		for k := range m.Partial {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendString(b, k)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Partial[k]))
-		}
-	}
+	b, keys = appendPairs(b, m.Partial, keys)
 	b = appendStrings(b, m.Jobs)
 	b = appendString(b, m.Message)
-	b = appendStrings(b, m.Caps)
 	b = binary.AppendUvarint(b, uint64(len(m.Batch)))
 	for _, spec := range m.Batch {
 		b = appendString(b, spec.Job)
@@ -185,74 +164,35 @@ func appendFrame(dst []byte, m *message, keys []string, ext, trc, red, cmp, erl 
 		b = binary.AppendVarint(b, int64(spec.Attempt))
 		b = appendStrings(b, spec.Records)
 	}
-	if ext {
-		b = binary.AppendVarint(b, int64(m.Partitions))
-		b = binary.AppendUvarint(b, uint64(len(m.Parts)))
-		for _, part := range m.Parts {
-			b = binary.AppendVarint(b, int64(part.ID))
-			b = binary.AppendUvarint(b, uint64(len(part.Partial)))
-			keys = keys[:0]
-			for k := range part.Partial {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				b = appendString(b, k)
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(part.Partial[k]))
-			}
-		}
+	b = binary.AppendVarint(b, int64(m.Partitions))
+	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
+	for _, part := range m.Parts {
+		b = binary.AppendVarint(b, int64(part.ID))
+		b, keys = appendPairs(b, part.Partial, keys)
 	}
-	if trc {
-		b = appendString(b, m.Trace)
-		b = binary.AppendUvarint(b, uint64(len(m.Spans)))
-		for _, s := range m.Spans {
-			b = appendString(b, s.Phase)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.End))
-		}
+	b = appendString(b, m.Trace)
+	b = binary.AppendUvarint(b, uint64(len(m.Spans)))
+	for _, s := range m.Spans {
+		b = appendString(b, s.Phase)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.End))
 	}
-	if red {
-		b = appendString(b, m.Run)
-		b = binary.AppendVarint(b, int64(m.Reducers))
-		b = appendString(b, m.Fetch)
-		b = binary.AppendVarint(b, m.Bytes)
-		b = binary.AppendUvarint(b, uint64(len(m.Tasks)))
-		for _, t := range m.Tasks {
-			b = binary.AppendVarint(b, int64(t))
-		}
-		b = binary.AppendUvarint(b, uint64(len(m.Locs)))
-		for _, loc := range m.Locs {
-			b = appendString(b, loc.Addr)
-			b = binary.AppendUvarint(b, uint64(len(loc.Tasks)))
-			for _, t := range loc.Tasks {
-				b = binary.AppendVarint(b, int64(t))
-			}
-		}
-	}
-	if cmp {
-		b = appendString(b, m.Rep)
-		b = appendStrings(b, m.CompAddrs)
-		b = binary.AppendVarint(b, int64(m.Spills))
-		b = binary.AppendVarint(b, m.Spilled)
-		b = binary.AppendVarint(b, m.CompBytes)
-		b = binary.AppendVarint(b, m.ShuffleMs)
-	}
-	if erl {
-		b = binary.AppendVarint(b, int64(m.Total))
-		b = binary.AppendUvarint(b, uint64(len(m.Reps)))
-		for _, rep := range m.Reps {
-			b = appendString(b, rep.Addr)
-			b = binary.AppendUvarint(b, uint64(len(rep.Tasks)))
-			for _, t := range rep.Tasks {
-				b = binary.AppendVarint(b, int64(t))
-			}
-		}
-		b = binary.AppendVarint(b, int64(m.Failovers))
-	}
+	b = appendString(b, m.Run)
+	b = binary.AppendVarint(b, int64(m.Reducers))
+	b = appendString(b, m.Fetch)
+	b = binary.AppendVarint(b, m.Bytes)
+	b = appendInts(b, m.Tasks)
+	b = appendLocs(b, m.Locs)
+	b = appendString(b, m.Rep)
+	b = binary.AppendVarint(b, int64(m.Spills))
+	b = binary.AppendVarint(b, m.Spilled)
+	b = binary.AppendVarint(b, m.CompBytes)
+	b = binary.AppendVarint(b, m.ShuffleMs)
+	b = binary.AppendVarint(b, int64(m.Total))
+	b = appendLocs(b, m.Reps)
+	b = binary.AppendVarint(b, int64(m.Failovers))
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[bodyStart:], crcTable))
-	if cmp {
-		b = wrapCompressed(b, bodyStart, m.Type)
-	}
+	b = wrapCompressed(b, bodyStart, m.Type)
 
 	bodyLen := len(b) - bodyStart
 	if bodyLen > maxFrameBytes {
@@ -468,15 +408,50 @@ func (r *frameReader) ints() ([]int, error) {
 	return out, nil
 }
 
+// locs decodes a fetchLoc list into a fresh slice (nil when empty).
+func (r *frameReader) locs() ([]fetchLoc, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// Each loc costs at least its addr length byte plus a task count
+	// byte.
+	if n > uint64(len(r.s)-r.off) {
+		return nil, fmt.Errorf("netmr: loc list of %d entries overruns frame", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]fetchLoc, n)
+	for i := range out {
+		if out[i].Addr, err = r.string(); err != nil {
+			return nil, err
+		}
+		if out[i].Tasks, err = r.ints(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// peekHello reports the Version a stored hello wire body declares, read
+// from the prefix every protocol version shares — for a hello the rest
+// of which does not decode.
+func peekHello(wire []byte) (version int, ok bool) {
+	if len(wire) < 3 || wire[0] != 0 || wire[1] != frameTypes["hello"] {
+		return 0, false
+	}
+	v, n := binary.Varint(wire[2:])
+	return int(v), n > 0
+}
+
 // decodeFrame parses one checksummed body into m, reusing m.Records' and
 // m.Batch's backing arrays when the caller passes them back in. All other
 // slice/map fields are freshly allocated (results outlive the next recv
-// on the master). ext selects the bin2 layout, trc the trace layout,
-// red the reduce layout, cmp the comp layout and erl the early layout,
-// mirroring appendFrame. On comp connections the caller unwraps the
-// compression flag layer (unwrapCompressedBody) first; body here is
-// always the raw checksummed form.
-func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
+// on the master). The caller strips the compression flag layer
+// (unwrapCompressedBody) first; body here is always the raw checksummed
+// form.
+func decodeFrame(body []byte, m *message) error {
 	if len(body) < 5 { // type byte + CRC
 		return fmt.Errorf("netmr: frame of %d bytes is too short", len(body))
 	}
@@ -494,14 +469,18 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 	} else {
 		m.Type = fmt.Sprintf("?%d", tb) // unknown frames are ignored downstream
 	}
+	var v int64
 	var err error
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	m.Version = int(v)
 	if m.ID, err = r.string(); err != nil {
 		return err
 	}
 	if m.Job, err = r.string(); err != nil {
 		return err
 	}
-	var v int64
 	if v, err = r.varint(); err != nil {
 		return err
 	}
@@ -527,12 +506,6 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 	}
 	if m.Message, err = r.string(); err != nil {
 		return err
-	}
-	if m.Caps, err = r.strings(nil); err != nil {
-		return err
-	}
-	if len(m.Caps) == 0 {
-		m.Caps = nil
 	}
 	nb, err := r.uvarint()
 	if err != nil {
@@ -566,153 +539,103 @@ func decodeFrame(body []byte, m *message, ext, trc, red, cmp, erl bool) error {
 		}
 		m.Batch = batch
 	}
-	if ext {
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Partitions = int(v)
-		nparts, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each partition costs at least its id byte plus a pair count byte.
-		if nparts > uint64(len(r.s)-r.off) {
-			return fmt.Errorf("netmr: part list of %d partitions overruns frame", nparts)
-		}
-		if nparts > 0 {
-			m.Parts = make([]partitionPartial, nparts)
-			for i := range m.Parts {
-				if v, err = r.varint(); err != nil {
-					return err
-				}
-				m.Parts[i].ID = int(v)
-				if m.Parts[i].Partial, err = r.pairs(); err != nil {
-					return err
-				}
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	m.Partitions = int(v)
+	nparts, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	// Each partition costs at least its id byte plus a pair count byte.
+	if nparts > uint64(len(r.s)-r.off) {
+		return fmt.Errorf("netmr: part list of %d partitions overruns frame", nparts)
+	}
+	if nparts > 0 {
+		m.Parts = make([]partitionPartial, nparts)
+		for i := range m.Parts {
+			if v, err = r.varint(); err != nil {
+				return err
+			}
+			m.Parts[i].ID = int(v)
+			if m.Parts[i].Partial, err = r.pairs(); err != nil {
+				return err
 			}
 		}
 	}
-	if trc {
-		if m.Trace, err = r.string(); err != nil {
-			return err
-		}
-		nspans, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each span costs at least its phase length byte plus 16 value
-		// bytes, so a count larger than the remaining bytes / 17 is
-		// corruption, not a huge allocation.
-		if nspans > uint64(len(r.s)-r.off)/17 {
-			return fmt.Errorf("netmr: span list of %d entries overruns frame", nspans)
-		}
-		if nspans > 0 {
-			m.Spans = make([]spanSummary, nspans)
-			for i := range m.Spans {
-				if m.Spans[i].Phase, err = r.string(); err != nil {
-					return err
-				}
-				if len(r.s)-r.off < 16 {
-					return fmt.Errorf("netmr: truncated span interval at byte %d", r.off)
-				}
-				m.Spans[i].Start = math.Float64frombits(u64at(r.s, r.off))
-				m.Spans[i].End = math.Float64frombits(u64at(r.s, r.off+8))
-				r.off += 16
+	if m.Trace, err = r.string(); err != nil {
+		return err
+	}
+	nspans, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	// Each span costs at least its phase length byte plus 16 value
+	// bytes, so a count larger than the remaining bytes / 17 is
+	// corruption, not a huge allocation.
+	if nspans > uint64(len(r.s)-r.off)/17 {
+		return fmt.Errorf("netmr: span list of %d entries overruns frame", nspans)
+	}
+	if nspans > 0 {
+		m.Spans = make([]spanSummary, nspans)
+		for i := range m.Spans {
+			if m.Spans[i].Phase, err = r.string(); err != nil {
+				return err
 			}
-		}
-	}
-	if red {
-		if m.Run, err = r.string(); err != nil {
-			return err
-		}
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Reducers = int(v)
-		if m.Fetch, err = r.string(); err != nil {
-			return err
-		}
-		if m.Bytes, err = r.varint(); err != nil {
-			return err
-		}
-		if m.Tasks, err = r.ints(); err != nil {
-			return err
-		}
-		nlocs, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each loc costs at least its addr length byte plus a task count
-		// byte.
-		if nlocs > uint64(len(r.s)-r.off) {
-			return fmt.Errorf("netmr: loc list of %d entries overruns frame", nlocs)
-		}
-		if nlocs > 0 {
-			m.Locs = make([]fetchLoc, nlocs)
-			for i := range m.Locs {
-				if m.Locs[i].Addr, err = r.string(); err != nil {
-					return err
-				}
-				if m.Locs[i].Tasks, err = r.ints(); err != nil {
-					return err
-				}
+			if len(r.s)-r.off < 16 {
+				return fmt.Errorf("netmr: truncated span interval at byte %d", r.off)
 			}
+			m.Spans[i].Start = math.Float64frombits(u64at(r.s, r.off))
+			m.Spans[i].End = math.Float64frombits(u64at(r.s, r.off+8))
+			r.off += 16
 		}
 	}
-	if cmp {
-		if m.Rep, err = r.string(); err != nil {
-			return err
-		}
-		if m.CompAddrs, err = r.strings(nil); err != nil {
-			return err
-		}
-		if len(m.CompAddrs) == 0 {
-			m.CompAddrs = nil
-		}
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Spills = int(v)
-		if m.Spilled, err = r.varint(); err != nil {
-			return err
-		}
-		if m.CompBytes, err = r.varint(); err != nil {
-			return err
-		}
-		if m.ShuffleMs, err = r.varint(); err != nil {
-			return err
-		}
+	if m.Run, err = r.string(); err != nil {
+		return err
 	}
-	if erl {
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Total = int(v)
-		nreps, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each rep costs at least its addr length byte plus a task count
-		// byte.
-		if nreps > uint64(len(r.s)-r.off) {
-			return fmt.Errorf("netmr: rep list of %d entries overruns frame", nreps)
-		}
-		if nreps > 0 {
-			m.Reps = make([]fetchLoc, nreps)
-			for i := range m.Reps {
-				if m.Reps[i].Addr, err = r.string(); err != nil {
-					return err
-				}
-				if m.Reps[i].Tasks, err = r.ints(); err != nil {
-					return err
-				}
-			}
-		}
-		if v, err = r.varint(); err != nil {
-			return err
-		}
-		m.Failovers = int(v)
+	if v, err = r.varint(); err != nil {
+		return err
 	}
+	m.Reducers = int(v)
+	if m.Fetch, err = r.string(); err != nil {
+		return err
+	}
+	if m.Bytes, err = r.varint(); err != nil {
+		return err
+	}
+	if m.Tasks, err = r.ints(); err != nil {
+		return err
+	}
+	if m.Locs, err = r.locs(); err != nil {
+		return err
+	}
+	if m.Rep, err = r.string(); err != nil {
+		return err
+	}
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	m.Spills = int(v)
+	if m.Spilled, err = r.varint(); err != nil {
+		return err
+	}
+	if m.CompBytes, err = r.varint(); err != nil {
+		return err
+	}
+	if m.ShuffleMs, err = r.varint(); err != nil {
+		return err
+	}
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	m.Total = int(v)
+	if m.Reps, err = r.locs(); err != nil {
+		return err
+	}
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	m.Failovers = int(v)
 	if r.off != len(r.s) {
 		return fmt.Errorf("netmr: %d trailing bytes after frame", len(r.s)-r.off)
 	}

@@ -2,11 +2,12 @@ package netmr
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,9 +22,9 @@ func codecMessages() []message {
 	return []message{
 		{Type: "ping"},
 		{Type: "pong"},
-		{Type: "hello", ID: "127.0.0.1:5555", Jobs: []string{"a", "b"}, Caps: []string{"bin", "bin2", "batch", "part"}},
-		{Type: "helloack", Caps: []string{"bin"}},
-		{Type: "helloack", Caps: []string{"bin", "part"}, Partitions: 8},
+		{Type: "hello", ID: "127.0.0.1:5555", Jobs: []string{"a", "b"}, Version: protocolVersion},
+		{Type: "helloack"},
+		{Type: "helloack", Partitions: 8},
 		{Type: "task", Job: "wordcount", TaskID: 3, Attempt: 1, Records: []string{"the quick", "brown fox", ""}},
 		{Type: "task", Job: "", TaskID: -7, Attempt: 0, Records: []string{strings.Repeat("x", 4096)}},
 		{Type: "result", TaskID: 12, Attempt: 2, Partial: map[string]float64{
@@ -51,8 +52,8 @@ func codecMessages() []message {
 		{Type: "presult", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
 			{ID: 0, Partial: map[string]float64{"a": 1}},
 		}},
-		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Caps: []string{"bin", "bin2", "reduce"}, Fetch: "127.0.0.1:7001"},
-		{Type: "helloack", Caps: []string{"bin", "bin2", "reduce"}, Reducers: 4},
+		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Version: -1, Fetch: "127.0.0.1:7001"},
+		{Type: "helloack", Reducers: 4, ShuffleMs: 15000},
 		{Type: "task", Job: "wc", TaskID: 2, Records: []string{"persist me"}, Run: "wc#1"},
 		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Attempt: 0, Run: "wc#1",
@@ -61,7 +62,7 @@ func codecMessages() []message {
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 				{Addr: "", Tasks: nil},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: map[string]float64{"relayed": 1}}}},
+			Parts: []partitionPartial{{ID: 3, Partial: map[string]float64{"inline": 1}}}},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2, -5}},
 		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
 			{ID: 0, Partial: map[string]float64{"a": 1}},
@@ -81,13 +82,24 @@ func codecMessages() []message {
 	}
 }
 
-func encodeBinary(t *testing.T, m message) []byte {
+func encodeBinary(t testing.TB, m message) []byte {
 	t.Helper()
-	frame, _, err := appendFrame(nil, &m, nil, true, true, true, false, true)
+	frame, _, err := appendFrame(nil, &m, nil)
 	if err != nil {
 		t.Fatalf("appendFrame(%+v): %v", m, err)
 	}
 	return frame
+}
+
+// decodeWire decodes one wire body (length prefix stripped) the way recv
+// does: strip the compression flag layer, then parse the checksummed
+// body.
+func decodeWire(wire []byte, m *message) error {
+	raw, _, _, err := unwrapCompressedBody(wire, nil)
+	if err != nil {
+		return err
+	}
+	return decodeFrame(raw, m)
 }
 
 // frameBody strips the uvarint length prefix the way recv does.
@@ -104,8 +116,8 @@ func frameBody(t testing.TB, frame []byte) []byte {
 func decodeBinary(t *testing.T, frame []byte) message {
 	t.Helper()
 	var m message
-	if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true); err != nil {
-		t.Fatalf("decodeFrame: %v", err)
+	if err := decodeWire(frameBody(t, frame), &m); err != nil {
+		t.Fatalf("decodeWire: %v", err)
 	}
 	return m
 }
@@ -126,8 +138,8 @@ func readUvarintLen(r *bufio.Reader) (int, error) {
 	}
 }
 
-// normalize maps the JSON codec's empty-slice/empty-map decodings onto
-// the binary codec's nil convention so the two can be DeepEqual'd.
+// normalize maps empty slices and maps onto the decoder's nil
+// convention so an input message and its round trip can be DeepEqual'd.
 func normalize(m message) message {
 	if len(m.Records) == 0 {
 		m.Records = nil
@@ -137,9 +149,6 @@ func normalize(m message) message {
 	}
 	if len(m.Jobs) == 0 {
 		m.Jobs = nil
-	}
-	if len(m.Caps) == 0 {
-		m.Caps = nil
 	}
 	if len(m.Batch) == 0 {
 		m.Batch = nil
@@ -171,9 +180,6 @@ func normalize(m message) message {
 			m.Locs[i].Tasks = nil
 		}
 	}
-	if len(m.CompAddrs) == 0 {
-		m.CompAddrs = nil
-	}
 	if len(m.Reps) == 0 {
 		m.Reps = nil
 	}
@@ -185,31 +191,8 @@ func normalize(m message) message {
 	return m
 }
 
-// TestBinaryCodecMatchesJSONCodec is the round-trip property test: for
-// every corpus message, JSON round-trip and binary round-trip must
-// produce the same message.
-func TestBinaryCodecMatchesJSONCodec(t *testing.T) {
-	for _, m := range codecMessages() {
-		line, err := json.Marshal(m)
-		if err != nil {
-			t.Fatalf("json encode %+v: %v", m, err)
-		}
-		var viaJSON message
-		if err := json.Unmarshal(line, &viaJSON); err != nil {
-			t.Fatalf("json decode: %v", err)
-		}
-		viaBin := decodeBinary(t, encodeBinary(t, m))
-		if !reflect.DeepEqual(normalize(viaBin), normalize(viaJSON)) {
-			t.Errorf("codecs disagree for %q:\n json: %+v\n  bin: %+v", m.Type, viaJSON, viaBin)
-		}
-		if !reflect.DeepEqual(normalize(viaBin), normalize(m)) {
-			t.Errorf("binary round trip of %q is lossy:\n  in: %+v\n out: %+v", m.Type, m, viaBin)
-		}
-	}
-}
-
-// TestBinaryCodecNonFiniteValues: JSON cannot carry NaN/±Inf at all; the
-// binary codec must round-trip them bit-exactly.
+// TestBinaryCodecNonFiniteValues: NaN/±Inf values must round-trip
+// bit-exactly.
 func TestBinaryCodecNonFiniteValues(t *testing.T) {
 	m := message{Type: "result", Partial: map[string]float64{
 		"nan": math.NaN(), "inf": math.Inf(1), "ninf": math.Inf(-1),
@@ -222,13 +205,15 @@ func TestBinaryCodecNonFiniteValues(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecBufferReuse drives one conn scratch through several
-// decodes to prove reuse does not leak one frame's fields into the next.
+// TestBinaryCodecBufferReuse is the round-trip property test: it drives
+// one conn scratch through every corpus message, proving each decodes to
+// exactly its input and that reuse does not leak one frame's fields into
+// the next.
 func TestBinaryCodecBufferReuse(t *testing.T) {
 	var m message
 	for i, in := range codecMessages() {
 		frame := encodeBinary(t, in)
-		if err := decodeFrame(frameBody(t, frame), &m, true, true, true, false, true); err != nil {
+		if err := decodeWire(frameBody(t, frame), &m); err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(normalize(m), normalize(in)) {
@@ -237,119 +222,9 @@ func TestBinaryCodecBufferReuse(t *testing.T) {
 	}
 }
 
-// codecGen names one binary layout generation: which capability-gated
-// field blocks its frames carry.
-type codecGen struct {
-	name                    string
-	ext, trc, red, cmp, erl bool
-}
-
-// codecGens is every layout a negotiated connection can land on (trc,
-// red and cmp all nest on ext and are independent of each other; erl is
-// only granted alongside cmp, so the list samples the reachable
-// combinations rather than exhausting all of them).
-func codecGens() []codecGen {
-	return []codecGen{
-		{"base", false, false, false, false, false},
-		{"bin2", true, false, false, false, false},
-		{"trace", true, true, false, false, false},
-		{"reduce", true, false, true, false, false},
-		{"trace+reduce", true, true, true, false, false},
-		{"comp", true, false, false, true, false},
-		{"reduce+comp", true, false, true, true, false},
-		{"trace+reduce+comp", true, true, true, true, false},
-		{"early", true, false, true, true, true},
-		{"trace+early", true, true, true, true, true},
-	}
-}
-
-// carries reports whether generation g's layout can represent m.
-func (g codecGen) carries(m message) bool {
-	if !g.ext && (m.Partitions != 0 || len(m.Parts) > 0) {
-		return false
-	}
-	if !g.trc && (m.Trace != "" || len(m.Spans) > 0) {
-		return false
-	}
-	if !g.red && (m.Run != "" || m.Reducers != 0 || m.Fetch != "" || m.Bytes != 0 || len(m.Tasks) > 0 || len(m.Locs) > 0) {
-		return false
-	}
-	if !g.cmp && (m.Rep != "" || len(m.CompAddrs) > 0 || m.Spills != 0 || m.Spilled != 0 || m.CompBytes != 0 || m.ShuffleMs != 0) {
-		return false
-	}
-	if !g.erl && (m.Total != 0 || len(m.Reps) > 0 || m.Failovers != 0) {
-		return false
-	}
-	return true
-}
-
-// decodeGen decodes one wire body under generation g, stripping the comp
-// flag layer first when g carries it — the same two steps recv performs.
-func decodeGen(body []byte, m *message, g codecGen) error {
-	if g.cmp {
-		raw, _, _, err := unwrapCompressedBody(body, nil)
-		if err != nil {
-			return err
-		}
-		body = raw
-	}
-	return decodeFrame(body, m, g.ext, g.trc, g.red, g.cmp, g.erl)
-}
-
-// TestBinaryCodecLegacyLayout pins the layout negotiation that keeps
-// mixed-version binary clusters decodable across all five generations
-// (base, +ext, +ext+trc, +ext+red, +ext+trc+red): each generation must
-// produce and accept exactly its own layout, refuse to encode frames
-// whose fields need a newer one, and any layout mismatch between encoder
-// and decoder must error instead of mis-decoding.
-func TestBinaryCodecLegacyLayout(t *testing.T) {
-	gens := codecGens()
-	for _, m := range codecMessages() {
-		bodies := map[string][]byte{}
-		for _, g := range gens {
-			frame, _, err := appendFrame(nil, &m, nil, g.ext, g.trc, g.red, g.cmp, g.erl)
-			if !g.carries(m) {
-				if err == nil {
-					t.Errorf("%s-layout encode of %q with newer-generation fields must fail, got none", g.name, m.Type)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s-layout encode %q: %v", g.name, m.Type, err)
-			}
-			bodies[g.name] = frameBody(t, frame)
-			var out message
-			if err := decodeGen(bodies[g.name], &out, g); err != nil {
-				t.Fatalf("%s-layout decode %q: %v", g.name, m.Type, err)
-			}
-			if !reflect.DeepEqual(normalize(out), normalize(m)) {
-				t.Errorf("%s-layout round trip of %q is lossy:\n in: %+v\nout: %+v", g.name, m.Type, m, out)
-			}
-		}
-		// A newer frame has trailing fields an older decoder must reject,
-		// and a newer decoder must reject the older frame as truncated —
-		// mismatches error, never mis-decode.
-		for _, enc := range gens {
-			body, ok := bodies[enc.name]
-			if !ok {
-				continue
-			}
-			for _, dec := range gens {
-				if enc == dec {
-					continue
-				}
-				var out message
-				if err := decodeGen(body, &out, dec); err == nil {
-					t.Errorf("%s decoder accepted a %s-layout %q frame", dec.name, enc.name, m.Type)
-				}
-			}
-		}
-	}
-}
-
 // TestDecodeFrameRejectsCorruption: every single-bit flip of a valid
-// body must be rejected (that is the CRC's whole job — JSON used to get
-// this from parse errors).
+// wire body must be rejected — the CRC's whole job, with the flag byte
+// guarded by the flag check.
 func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	m := message{Type: "result", TaskID: 4, Partial: map[string]float64{"k": 2}}
 	body := frameBody(t, encodeBinary(t, m))
@@ -358,7 +233,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 			mut := append([]byte(nil), body...)
 			mut[i] ^= 1 << bit
 			var out message
-			if err := decodeFrame(mut, &out, true, true, true, false, true); err == nil {
+			if err := decodeWire(mut, &out); err == nil {
 				t.Fatalf("flip of byte %d bit %d went undetected", i, bit)
 			}
 		}
@@ -366,49 +241,144 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	// Truncations must be rejected too.
 	for i := 0; i < len(body); i++ {
 		var out message
-		if err := decodeFrame(body[:i], &out, true, true, true, false, true); err == nil {
+		if err := decodeWire(body[:i], &out); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", i)
 		}
 	}
 }
 
-// FuzzDecodeFrame: arbitrary bodies must never panic or over-allocate,
-// only decode or error.
-func FuzzDecodeFrame(f *testing.F) {
-	for _, m := range codecMessages() {
-		frame, _, err := appendFrame(nil, &m, nil, true, true, true, false, true)
-		if err != nil {
-			f.Fatal(err)
+// fuzzSeedGroup is one family of decode seed bodies and the fuzz
+// target whose committed corpus (testdata/fuzz/<target>/seed-NNN)
+// TestWriteFuzzCorpus writes it under.
+type fuzzSeedGroup struct {
+	target string
+	bodies [][]byte
+}
+
+// fuzzSeedGroups are the wire bodies the decode fuzz targets start from:
+// every codecMessages frame, then the reduce, presult, span and
+// compression shapes — each valid, truncated and bit-flipped.
+func fuzzSeedGroups(t testing.TB) []fuzzSeedGroup {
+	half := func(n int) int { return n / 2 }
+	twoThirds := func(n int) int { return n * 2 / 3 }
+	group := func(target string, ms []message, cut func(int) int) fuzzSeedGroup {
+		g := fuzzSeedGroup{target: target}
+		for _, m := range ms {
+			b := frameBody(t, encodeBinary(t, m))
+			mut := append([]byte(nil), b...)
+			mut[4] ^= 0x40
+			g.bodies = append(g.bodies, b, b[:cut(len(b))], mut)
 		}
-		// Seed with the body (prefix stripped): valid, truncated, corrupt.
-		body := frameBody(f, frame)
-		f.Add(body)
-		f.Add(body[:len(body)/2])
-		mut := append([]byte(nil), body...)
-		if len(mut) > 0 {
-			mut[len(mut)/3] ^= 0x10
-		}
-		f.Add(mut)
+		return g
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		// Every layout generation must be panic-free on arbitrary input.
-		for _, g := range codecGens() {
-			var out message
-			err := decodeFrame(body, &out, g.ext, g.trc, g.red, g.cmp, g.erl)
-			if err != nil {
-				continue
+	var presults, spans []message
+	for _, m := range codecMessages() {
+		switch {
+		case m.Trace != "" || len(m.Spans) > 0:
+			spans = append(spans, m)
+		case m.Type == "presult":
+			presults = append(presults, m)
+		}
+	}
+	presults = append(presults, presultFrameSeeds()...)
+	spans = append(spans, spanFrameSeeds()...)
+	return []fuzzSeedGroup{
+		group("FuzzDecodeFrame", codecMessages(), half),
+		group("FuzzDecodeReduceFrame", reduceFrameSeeds(), twoThirds),
+		group("FuzzDecodePartitionedResult", presults, twoThirds),
+		group("FuzzDecodeSpanSummary", spans, twoThirds),
+		group("FuzzDecodeCompressedFrame", compFrameSeeds(), half),
+	}
+}
+
+// fuzzReceivePath feeds the receive path — flag unwrap, decompression,
+// CRC, layout decode — arbitrary wire bodies, seeded from the bodies of
+// the named groups: it must error or decode, never panic or
+// over-allocate, and a body that decodes must re-encode to a frame that
+// decodes and re-encodes to the identical bytes (so no field is lost or
+// altered, NaN payloads included). Every decode fuzz target runs this one
+// property; they differ only in the frame shapes they start from.
+func fuzzReceivePath(f *testing.F, targets ...string) {
+	for _, g := range fuzzSeedGroups(f) {
+		if !slices.Contains(targets, g.target) {
+			continue
+		}
+		for _, b := range g.bodies {
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		raw, _, _, err := unwrapCompressedBody(wire, nil)
+		if err != nil {
+			return
+		}
+		var m message
+		if err := decodeFrame(raw, &m); err != nil {
+			return
+		}
+		// Every decoded string and list is carved out of the body, so
+		// none can outgrow it.
+		for _, loc := range append(append([]fetchLoc(nil), m.Locs...), m.Reps...) {
+			if len(loc.Addr) > len(raw) || len(loc.Tasks) > len(raw) {
+				t.Fatalf("loc of %d bytes / %d tasks from a %d-byte body", len(loc.Addr), len(loc.Tasks), len(raw))
 			}
-			// A frame that decodes must re-encode under the same layout
-			// (unknown type bytes excepted: they decode to a "?N"
-			// placeholder for the ignore-unknown-frames path).
-			if _, ok := frameTypes[out.Type]; ok {
-				if _, _, err := appendFrame(nil, &out, nil, g.ext, g.trc, g.red, g.cmp, g.erl); err != nil {
-					t.Fatalf("%s-layout decoded frame failed to re-encode: %v", g.name, err)
-				}
+		}
+		if len(m.Tasks) > len(raw) || len(m.Spans) > len(raw) {
+			t.Fatalf("%d task ids / %d spans from a %d-byte body", len(m.Tasks), len(m.Spans), len(raw))
+		}
+		for _, s := range m.Spans {
+			if len(s.Phase) > len(raw) {
+				t.Fatalf("span phase of %d bytes from a %d-byte body", len(s.Phase), len(raw))
 			}
+		}
+		if _, ok := frameTypes[m.Type]; !ok {
+			return // unknown type placeholder: the receiver ignores it
+		}
+		frame, _, err := appendFrame(nil, &m, nil)
+		if err != nil {
+			t.Fatalf("decoded frame failed to re-encode: %v", err)
+		}
+		var again message
+		if err := decodeWire(frameBody(t, frame), &again); err != nil {
+			t.Fatalf("re-encoded frame failed to decode: %v", err)
+		}
+		frame2, _, err := appendFrame(nil, &again, nil)
+		if err != nil {
+			t.Fatalf("round-tripped frame failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(frame, frame2) {
+			t.Fatalf("frame round trip lossy:\n in: %+v\nout: %+v", m, again)
 		}
 	})
 }
+
+// FuzzDecodeFrame runs the receive-path property from every seed family,
+// codecMessages first, so one fuzzing burst starts from all frame shapes.
+func FuzzDecodeFrame(f *testing.F) {
+	var all []string
+	for _, g := range fuzzSeedGroups(f) {
+		all = append(all, g.target)
+	}
+	fuzzReceivePath(f, all...)
+}
+
+// FuzzDecodeReduceFrame runs the receive-path property from the
+// reduce/fetch shapes (Run/Reducers/Fetch/Bytes/Tasks/Locs).
+func FuzzDecodeReduceFrame(f *testing.F) { fuzzReceivePath(f, "FuzzDecodeReduceFrame") }
+
+// FuzzDecodePartitionedResult runs the receive-path property from the
+// presult shapes.
+func FuzzDecodePartitionedResult(f *testing.F) {
+	fuzzReceivePath(f, "FuzzDecodePartitionedResult")
+}
+
+// FuzzDecodeSpanSummary runs the receive-path property from traced
+// shapes (trace IDs and span summaries).
+func FuzzDecodeSpanSummary(f *testing.F) { fuzzReceivePath(f, "FuzzDecodeSpanSummary") }
+
+// FuzzDecodeCompressedFrame runs the receive-path property from frames
+// large and repetitive enough to take the compression flag layer.
+func FuzzDecodeCompressedFrame(f *testing.F) { fuzzReceivePath(f, "FuzzDecodeCompressedFrame") }
 
 // TestRegistryNamesSorted: hello and health documents must not leak map
 // iteration order.
@@ -460,124 +430,6 @@ func TestSendClearsStaleWriteDeadline(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if err := c.send(message{Type: "ping"}, 0); err != nil {
 		t.Fatalf("untimed send after a timed one failed: %v", err)
-	}
-}
-
-// legacyJSONWorker emulates a protocol-v1 worker byte for byte: JSON
-// hello without capabilities, JSON frames both ways, unknown frames
-// ignored. It proves a master that negotiates the binary codec with new
-// workers still interoperates with old ones on the same job.
-func legacyJSONWorker(t *testing.T, addr string, job Job) {
-	t.Helper()
-	raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = raw.Close() })
-	type legacyMsg struct {
-		Type    string             `json:"type"`
-		ID      string             `json:"id,omitempty"`
-		Job     string             `json:"job,omitempty"`
-		TaskID  int                `json:"task_id,omitempty"`
-		Attempt int                `json:"attempt,omitempty"`
-		Records []string           `json:"records,omitempty"`
-		Partial map[string]float64 `json:"partial,omitempty"`
-		Jobs    []string           `json:"jobs,omitempty"`
-	}
-	enc := json.NewEncoder(raw)
-	dec := json.NewDecoder(bufio.NewReader(raw))
-	if err := enc.Encode(legacyMsg{Type: "hello", ID: "legacy-json", Jobs: []string{job.Name}}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			var m legacyMsg
-			if err := dec.Decode(&m); err != nil {
-				return
-			}
-			switch m.Type {
-			case "task":
-				partial := make(map[string]float64)
-				var keys []string
-				interm := make(map[string][]float64)
-				emit := func(k string, v float64) {
-					if _, ok := interm[k]; !ok {
-						keys = append(keys, k)
-					}
-					interm[k] = append(interm[k], v)
-				}
-				for _, rec := range m.Records {
-					job.Map(rec, emit)
-				}
-				for _, k := range keys {
-					partial[k] = job.Reduce(k, interm[k])
-				}
-				if err := enc.Encode(legacyMsg{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: partial}); err != nil {
-					return
-				}
-			case "ping":
-				if err := enc.Encode(legacyMsg{Type: "pong"}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-}
-
-// TestMixedVersionCluster runs one master with a legacy JSON worker and
-// a current binary worker side by side; the job must complete correctly
-// and both workers must execute shards.
-func TestMixedVersionCluster(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, MaxTaskBatch: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-
-	legacyJSONWorker(t, addr, wordCountJob())
-	w, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
-	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := testLines(t, 400)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if len(got) != len(want) {
-		t.Fatalf("distinct keys %d, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("count[%q] = %g, want %g", k, got[k], v)
-		}
-	}
-	var legacyShards, otherShards int
-	for _, ws := range stats.PerWorker {
-		if ws.ID == "legacy-json" {
-			legacyShards = ws.ShardsRun
-		} else {
-			otherShards += ws.ShardsRun
-		}
-	}
-	if legacyShards == 0 || otherShards == 0 {
-		t.Errorf("both protocol versions must run shards, got legacy=%d other=%d (%+v)",
-			legacyShards, otherShards, stats.PerWorker)
 	}
 }
 

@@ -25,11 +25,10 @@ import (
 //     ownership is the synchronization — then finalized in parallel via
 //     runner.Map.
 //
-// Workers that negotiated the "part" capability ship results already
-// split per partition (presult frames); everything else — v1 JSON
-// workers, v2 workers without the capability — ships one flat map that
-// the engine's router splits on arrival. Both paths land identical keys
-// in identical partitions, so mixed clusters merge correctly.
+// Workers told P > 1 in the helloack ship results already split per
+// partition (presult frames); a flat map (P = 1, or a result frame) is
+// split by the engine's router on arrival. Both paths land identical
+// keys in identical partitions.
 
 // mergeChunk is one routed unit of merge input: a map whose keys all
 // hash to the partition owning the channel it travels on.

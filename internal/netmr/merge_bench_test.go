@@ -69,9 +69,9 @@ func benchmarkEngineMerge(b *testing.B, combine bool) {
 }
 
 // presplit re-arranges a flat partial into per-partition maps the way a
-// part-capable worker ships them — done outside the benchmark timer so
-// the engine benchmark below measures pure fold parallelism, the steady
-// state of a cluster where every worker negotiated "part".
+// worker ships them — done outside the benchmark timer so the engine
+// benchmark below measures pure fold parallelism, the steady state of a
+// partitioned cluster.
 func presplit(p map[string]float64, parts int) []partitionPartial {
 	split := make([]map[string]float64, parts)
 	for k, v := range p {

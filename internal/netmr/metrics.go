@@ -13,7 +13,6 @@ type masterMetrics struct {
 	workersJoined  *obs.Counter
 	workersLost    *obs.Counter
 	workers        *obs.Gauge
-	codecs         *obs.CounterVec
 	shards         *obs.Counter
 	reassignments  *obs.CounterVec
 	heartbeats     *obs.CounterVec
@@ -61,8 +60,6 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 			"Workers dropped after an RPC or heartbeat failure."),
 		workers: r.Gauge("netmr_workers",
 			"Workers currently admitted and not lost."),
-		codecs: r.CounterVec("netmr_worker_codec_total",
-			"Admitted workers by negotiated wire codec (json or bin).", "codec"),
 		shards: r.Counter("netmr_shards_dispatched_total",
 			"Shard executions dispatched to workers (including retries)."),
 		reassignments: r.CounterVec("netmr_shard_reassignments_total",
@@ -92,7 +89,7 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		shuffleBytes: r.Counter("netmr_shuffle_bytes_total",
 			"Intermediate bytes reducers fetched worker-to-worker."),
 		mapOutputs: r.CounterVec("netmr_map_outputs_total",
-			"Winning map outputs of reduce-mode jobs by placement (stored worker-side or relayed via the master).", "mode"),
+			"Winning map outputs of reduce-mode jobs by placement (stored worker-side).", "mode"),
 		retries: r.Counter("netmr_retries_total",
 			"Shards requeued with backoff after a launch failure."),
 		backoffSeconds: r.Histogram("netmr_retry_backoff_seconds",

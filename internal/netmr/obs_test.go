@@ -243,8 +243,11 @@ func startMisbehavingWorker(t *testing.T, addr, id string) (stop func()) {
 		t.Fatal(err)
 	}
 	c := newConn(raw)
-	if err := c.send(message{Type: "hello", ID: id, Jobs: []string{"count"}}, 5*time.Second); err != nil {
+	if err := c.send(message{Type: "hello", ID: id, Jobs: []string{"count"}, Version: protocolVersion, Fetch: "127.0.0.1:1"}, 5*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	if ack, err := c.recv(5 * time.Second); err != nil || ack.Type != "helloack" {
+		t.Fatalf("hello got (%+v, %v), want a helloack", ack, err)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -269,7 +272,7 @@ func TestHeartbeatDropsDeadIdleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newConn(raw)
-	if err := c.send(message{Type: "hello", ID: "deaf", Jobs: []string{"count"}}, 5*time.Second); err != nil {
+	if err := c.send(message{Type: "hello", ID: "deaf", Jobs: []string{"count"}, Version: protocolVersion, Fetch: "127.0.0.1:1"}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {

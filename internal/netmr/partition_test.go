@@ -1,11 +1,8 @@
 package netmr
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -115,10 +112,10 @@ func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 					order := rand.New(rand.NewSource(seed)).Perm(shards)
 					for _, i := range order {
 						if i%2 == 0 {
-							// Even shards arrive pre-partitioned (a "part" worker)...
+							// Even shards arrive pre-partitioned (a presult)...
 							eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts), nil)
 						} else {
-							// ...odd shards arrive flat (legacy or non-part worker).
+							// ...odd shards arrive flat (a result frame).
 							eng.feed(nil, partials[i])
 						}
 					}
@@ -244,116 +241,55 @@ func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 	}
 }
 
-// TestMixedClusterPartitioned is the three-generation e2e: one legacy
-// v1 JSON worker, one v2 binary worker without the part capability, and
-// one fully current worker share a partitioned master. The job must
-// produce exactly the single-process reference result, every generation
-// must run shards, and at least the current worker must pre-partition.
-func TestMixedClusterPartitioned(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-
-	// Generation 1: JSON line protocol, no capabilities at all.
-	legacyJSONWorker(t, addr, wordCountJob())
-	// Generation 2: binary codec but no part capability — ships flat
-	// maps over v2 frames; the master splits them on arrival.
-	unpart, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	unpart.caps = []string{capBinary}
-	if err := unpart.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(unpart.Stop)
-	// Generation 3: current worker, pre-partitions every result.
-	current, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := current.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(current.Stop)
-	if err := master.WaitForWorkers(3, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := testLines(t, 600)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("mixed-generation cluster result diverged from reference")
-	}
-	if stats.PrePartitioned == 0 {
-		t.Error("no pre-partitioned result despite a part-capable worker")
-	}
-	if stats.PrePartitioned >= stats.Completed {
-		t.Errorf("PrePartitioned %d should be below Completed %d in a mixed cluster", stats.PrePartitioned, stats.Completed)
-	}
-	for _, ws := range stats.PerWorker {
-		if ws.ShardsRun == 0 {
-			t.Errorf("worker %s ran no shards in the mixed cluster", ws.ID)
-		}
-	}
-}
-
-// rogueJSONWorker dials the master with a plain JSON hello and answers
-// every task with the frame reply builds — the malformed shapes a
-// misbehaving or malicious worker could ship, which must never crash
-// the master.
-func rogueJSONWorker(t *testing.T, addr string, job Job, reply func(taskID, attempt int, partial map[string]float64) map[string]any) {
+// rogueWorker completes a valid hello as id (advertising fetch as its
+// shuffle address) and answers every frame but ping with the frame reply
+// builds — the malformed shapes a misbehaving or malicious worker could
+// ship, which must never crash the master.
+func rogueWorker(t *testing.T, addr, id, fetch string, reply func(m message) message) {
 	t.Helper()
-	raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = raw.Close() })
-	enc := json.NewEncoder(raw)
-	dec := json.NewDecoder(bufio.NewReader(raw))
-	if err := enc.Encode(map[string]any{"type": "hello", "id": "rogue", "jobs": []string{job.Name}}); err != nil {
-		t.Fatal(err)
+	c := rawHello(t, addr, message{Type: "hello", ID: id, Jobs: []string{"wordcount"}, Version: protocolVersion, Fetch: fetch})
+	if ack, err := c.recv(5 * time.Second); err != nil || ack.Type != "helloack" {
+		t.Fatalf("rogue hello got (%+v, %v), want a helloack", ack, err)
 	}
 	go func() {
-		sc := newShardScratch()
 		for {
-			var m message
-			if err := dec.Decode(&m); err != nil {
+			m, err := c.recv(0)
+			if err != nil {
 				return
 			}
-			switch m.Type {
-			case "task":
-				partial := runShard(job, m.Records, sc)
-				if err := enc.Encode(reply(m.TaskID, m.Attempt, partial)); err != nil {
-					return
-				}
-			case "ping":
-				if err := enc.Encode(map[string]any{"type": "pong"}); err != nil {
-					return
-				}
+			if m.Type == "ping" {
+				m = message{Type: "pong"}
+			} else {
+				m = reply(m)
+			}
+			if c.send(m, 5*time.Second) != nil {
+				return
 			}
 		}
 	}()
 }
 
+// rawHello dials addr and sends hello on a bare conn, closed at cleanup.
+func rawHello(t *testing.T, addr string, hello message) *conn {
+	t.Helper()
+	raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newConn(raw)
+	t.Cleanup(func() { _ = c.close() })
+	if err := c.send(hello, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestResultFrameSmuggledPartsDropped is the regression test for the
 // router panic: a "result" frame carrying a Parts list with an
 // out-of-range partition id used to skip validateParts and crash the
-// merge router goroutine. The master must drop the unnegotiated
-// payload, merge the flat partial, and finish with correct output —
-// without counting the result as pre-partitioned.
+// merge router goroutine. The master must drop the payload, merge the
+// flat partial, and finish with correct output — without counting the
+// result as pre-partitioned.
 func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
 		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
@@ -366,12 +302,11 @@ func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(master.Close)
-	rogueJSONWorker(t, addr, wordCountJob(), func(taskID, attempt int, partial map[string]float64) map[string]any {
-		return map[string]any{
-			"type": "result", "task_id": taskID, "attempt": attempt,
-			"partial": partial,
-			"parts":   []map[string]any{{"id": 99, "partial": map[string]float64{"smuggled": 1}}},
-		}
+	sc := newShardScratch()
+	rogueWorker(t, addr, "rogue", "127.0.0.1:1", func(m message) message {
+		return message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt,
+			Partial: runShard(wordCountJob(), m.Records, sc),
+			Parts:   []partitionPartial{{ID: 99, Partial: map[string]float64{"smuggled": 1}}}}
 	})
 	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -409,11 +344,10 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(master.Close)
-	rogueJSONWorker(t, addr, wordCountJob(), func(taskID, attempt int, partial map[string]float64) map[string]any {
-		return map[string]any{
-			"type": "presult", "task_id": taskID, "attempt": attempt,
-			"parts": []map[string]any{{"id": 99, "partial": partial}},
-		}
+	sc := newShardScratch()
+	rogueWorker(t, addr, "rogue", "127.0.0.1:1", func(m message) message {
+		return message{Type: "presult", TaskID: m.TaskID, Attempt: m.Attempt,
+			Parts: []partitionPartial{{ID: 99, Partial: runShard(wordCountJob(), m.Records, sc)}}}
 	})
 	honest, err := NewWorker(mustRegistry(t))
 	if err != nil {
@@ -444,56 +378,9 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 	}
 }
 
-// TestPartitionCapRequiresBin2: a worker that speaks the binary codec
-// but not its bin2 layout revision has no wire shape for presult
-// frames — the master must keep it on flat results instead of granting
-// a capability the negotiated layout cannot encode.
-func TestPartitionCapRequiresBin2(t *testing.T) {
-	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-	w, err := NewWorker(mustRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.caps = []string{capBinary, capBatch, capPartition} // no bin2
-	if err := w.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
-	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	lines := testLines(t, 200)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("bin-without-bin2 worker result diverged from reference")
-	}
-	if stats.PrePartitioned != 0 {
-		t.Errorf("PrePartitioned = %d for a worker that must not be granted part", stats.PrePartitioned)
-	}
-	if w.partitions != 0 {
-		t.Errorf("worker granted partitions=%d despite missing bin2", w.partitions)
-	}
-}
-
-// FuzzDecodePartitionedResult focuses the codec fuzzer on the presult
-// frame: arbitrary bodies must decode or error, never panic, and a body
-// that decodes must re-encode and round-trip to the same message.
-func FuzzDecodePartitionedResult(f *testing.F) {
-	seeds := []message{
+// presultFrameSeeds are presult shapes for the fuzz seed corpus.
+func presultFrameSeeds() []message {
+	return []message{
 		{Type: "presult", TaskID: 1, Attempt: 1, Parts: []partitionPartial{
 			{ID: 0, Partial: map[string]float64{"a": 1, "b": 2}},
 			{ID: 2, Partial: map[string]float64{"c": -3.5}},
@@ -501,49 +388,12 @@ func FuzzDecodePartitionedResult(f *testing.F) {
 		{Type: "presult", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
 		{Type: "presult"},
 	}
-	for _, m := range seeds {
-		frame, _, err := appendFrame(nil, &m, nil, true, false, false, false, false)
-		if err != nil {
-			f.Fatal(err)
-		}
-		body := frameBody(f, frame)
-		f.Add(body)
-		f.Add(body[:len(body)*2/3])
-		mut := append([]byte(nil), body...)
-		if len(mut) > 4 {
-			mut[4] ^= 0x40
-		}
-		f.Add(mut)
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var m message
-		if err := decodeFrame(body, &m, true, false, false, false, false); err != nil {
-			return
-		}
-		if _, ok := frameTypes[m.Type]; !ok {
-			return // unknown type placeholder, ignore-path
-		}
-		frame, _, err := appendFrame(nil, &m, nil, true, false, false, false, false)
-		if err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
-		}
-		var again message
-		if err := decodeFrame(frameBody(t, frame), &again, true, false, false, false, false); err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(normalize(again), normalize(m)) {
-			t.Fatalf("presult round trip lossy:\n in: %+v\nout: %+v", m, again)
-		}
-	})
 }
 
-// FuzzDecodeSpanSummary focuses the codec fuzzer on the trace layout's
-// span-summary block: arbitrary bodies — including truncated and
-// corrupted frames as a non-trace peer would produce — must decode or
-// error, never panic, and a body that decodes must re-encode and
-// round-trip to the same message.
-func FuzzDecodeSpanSummary(f *testing.F) {
-	seeds := []message{
+// spanFrameSeeds are traced shapes (trace IDs and span summaries) for
+// the fuzz seed corpus.
+func spanFrameSeeds() []message {
+	return []message{
 		{Type: "result", TaskID: 1, Attempt: 1, Partial: map[string]float64{"a": 1}, Trace: "wc-1", Spans: []spanSummary{
 			{Phase: "decode", Start: 0, End: 0.002},
 			{Phase: "map", Start: 0.002, End: 0.8},
@@ -556,78 +406,4 @@ func FuzzDecodeSpanSummary(f *testing.F) {
 		{Type: "result", TaskID: 2, Trace: "", Spans: nil},
 		{Type: "task", Job: "wc", TaskID: 0, Records: []string{"r"}, Trace: "wc-2"},
 	}
-	for _, m := range seeds {
-		// Seed both the trace layout and, for messages it can carry, the
-		// bin2 layout a non-trace peer would send: the trc decoder must
-		// reject the latter cleanly, and mutations of either must never
-		// panic it.
-		frame, _, err := appendFrame(nil, &m, nil, true, true, false, false, false)
-		if err != nil {
-			f.Fatal(err)
-		}
-		body := frameBody(f, frame)
-		f.Add(body)
-		f.Add(body[:len(body)*2/3])
-		mut := append([]byte(nil), body...)
-		if len(mut) > 4 {
-			mut[4] ^= 0x40
-		}
-		f.Add(mut)
-		if m.Trace == "" && len(m.Spans) == 0 {
-			plain, _, err := appendFrame(nil, &m, nil, true, false, false, false, false)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(frameBody(f, plain))
-		}
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var m message
-		if err := decodeFrame(body, &m, true, true, false, false, false); err != nil {
-			return
-		}
-		for _, s := range m.Spans {
-			if len(s.Phase) > len(body) {
-				t.Fatalf("span phase of %d bytes from a %d-byte body", len(s.Phase), len(body))
-			}
-		}
-		if _, ok := frameTypes[m.Type]; !ok {
-			return // unknown type placeholder, ignore-path
-		}
-		frame, _, err := appendFrame(nil, &m, nil, true, true, false, false, false)
-		if err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
-		}
-		var again message
-		if err := decodeFrame(frameBody(t, frame), &again, true, true, false, false, false); err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		if !sameSpans(m.Spans, again.Spans) {
-			t.Fatalf("span summaries lossy:\n in: %+v\nout: %+v", m.Spans, again.Spans)
-		}
-		if !reflect.DeepEqual(normalize(stripSpans(again)), normalize(stripSpans(m))) {
-			t.Fatalf("traced frame round trip lossy:\n in: %+v\nout: %+v", m, again)
-		}
-	})
-}
-
-// sameSpans compares span summaries bit-exactly (NaN intervals from
-// fuzzed bodies defeat DeepEqual's float semantics on some fields).
-func sameSpans(a, b []spanSummary) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Phase != b[i].Phase ||
-			math.Float64bits(a[i].Start) != math.Float64bits(b[i].Start) ||
-			math.Float64bits(a[i].End) != math.Float64bits(b[i].End) {
-			return false
-		}
-	}
-	return true
-}
-
-func stripSpans(m message) message {
-	m.Spans = nil
-	return m
 }

@@ -15,19 +15,22 @@
 // times out is reassigned to another live worker (up to a retry budget),
 // the same recovery model as Hadoop's task re-execution.
 //
-// Two wire codecs coexist. The hello exchange is always line-delimited
-// JSON (protocol v1); a worker advertising the "bin" capability is
-// switched to the length-prefixed binary framing of codec.go by a
-// helloack, cutting the per-frame encode/decode cost that shows up as
-// dispatch overhead Wo(n) on real wall clocks. Workers and masters that
-// predate the binary codec simply never negotiate it and keep speaking
-// JSON.
+// Master, workers and the worker-to-worker shuffle plane speak one wire
+// protocol from the first byte: the length-prefixed binary frames of
+// codec.go, every frame in one fixed layout. The worker's hello carries
+// protocolVersion and its shuffle listener address; a master speaking
+// another version answers with an error frame naming both versions and
+// hangs up, so a mismatched worker fails fast with a reason instead of
+// misparsing frames. The helloack carries the cluster settings the
+// worker adopts (merge partitions, reduce partitions, shuffle timeout).
+// Everything else is decided per frame by its contents: a task frame
+// with a trace ID is traced, one with a run ID persists its output for
+// the distributed reduce.
 package netmr
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -35,108 +38,60 @@ import (
 	"time"
 )
 
-// capBinary, capBinaryExt, capBatch, capPartition, capTrace and
-// capReduce are the capability tokens of the hello negotiation: the
-// binary codec, its bin2 layout revision (the trailing Partitions/Parts
-// frame fields — versioned separately so a new peer talking to a
-// previous-version binary peer falls back to the layout that peer
-// decodes), multi-shard task batching, worker-side hash-partitioned
-// results (the master's helloack then carries the partition count the
-// cluster agreed on), distributed tracing (the master stamps a trace
-// context onto task frames and the worker ships per-phase span
-// summaries back on result frames — a further trailing layout revision
-// on binary connections, versioned exactly like bin2 so untraced peers
-// keep byte-identical frames), and distributed reduce (the worker
-// persists partitioned map output, serves it to peer reducers over
-// fetch frames, and accepts reduce tasks — one more trailing layout
-// revision carrying the Run/Reducers/Fetch/Bytes/Tasks/Locs fields).
-// capComp adds the out-of-core shuffle generation: frame compression
-// (a one-byte flag layer on every body, bulk payloads LZ-compressed
-// above a threshold), replica placement (the master names a peer on
-// task frames, the worker replicates its persisted partitions there
-// before mapdone), and the trailing Rep/Spills/Spilled/CompBytes/
-// ShuffleMs layout block — versioned exactly like trace and reduce.
-// capEarly adds the pipelined shuffle generation: the master may
-// dispatch a reduce task before the map barrier (Total > 0 announces
-// how many map outputs will eventually exist) and stream later
-// map-output locations to the running reducer over morelocs frames;
-// replica addresses (Reps) ride the task and morelocs frames so the
-// reducer fails over to a replica locally, and the reducer reports how
-// often it did (Failovers) — one more trailing layout block, versioned
-// exactly like trace/reduce/comp.
-const (
-	capBinary    = "bin"
-	capBinaryExt = "bin2"
-	capBatch     = "batch"
-	capPartition = "part"
-	capTrace     = "trace"
-	capReduce    = "reduce"
-	capComp      = "comp"
-	capEarly     = "early"
-)
+// protocolVersion is the wire protocol this build speaks. Any change to
+// the frame layout bumps it; the hello check then refuses peers of the
+// other version by name.
+const protocolVersion = 3
 
-// workerCaps is what a current worker advertises in its hello.
-func workerCaps() []string {
-	return []string{capBinary, capBinaryExt, capBatch, capPartition, capTrace, capReduce, capComp, capEarly}
-}
-
-// message is the single wire frame: one JSON line in codec v1, one
-// length-prefixed binary frame in v2 (codec.go). The field set is
-// shared, so the two codecs round-trip the same struct.
+// message is the single wire frame. Every field travels on every frame
+// (codec.go); unused ones cost a zero byte or two.
 type message struct {
-	Type       string             `json:"type"`                 // hello | helloack | task | taskbatch | result | presult | error | ping | pong | reducetask | fetch | fetchresult | mapdone
-	ID         string             `json:"id,omitempty"`         // hello: worker identity
-	Job        string             `json:"job,omitempty"`        // task
-	TaskID     int                `json:"task_id,omitempty"`    // task | result | presult | error; reducetask | fetch: reduce partition
-	Attempt    int                `json:"attempt,omitempty"`    // task | result | presult: retry ordinal, 0-based
-	Records    []string           `json:"records,omitempty"`    // task
-	Partial    map[string]float64 `json:"partial,omitempty"`    // result
-	Jobs       []string           `json:"jobs,omitempty"`       // hello
-	Message    string             `json:"message,omitempty"`    // error
-	Caps       []string           `json:"caps,omitempty"`       // hello: offered, helloack: accepted
-	Batch      []taskSpec         `json:"batch,omitempty"`      // taskbatch
-	Partitions int                `json:"partitions,omitempty"` // helloack: merge partition count when "part" was accepted
-	Parts      []partitionPartial `json:"parts,omitempty"`      // presult: per-partition partials; reducetask | fetchresult: per-map-task partials (ID is the map task id)
-	Trace      string             `json:"trace,omitempty"`      // task | taskbatch: job trace ID; result | presult: echoed back
-	Spans      []spanSummary      `json:"spans,omitempty"`      // result | presult: worker-side phase spans
+	Type       string             // hello | helloack | task | taskbatch | result | presult | error | ping | pong | reducetask | fetch | fetchresult | mapdone | replicate | replicack | morelocs
+	ID         string             // hello: worker identity
+	Job        string             // task
+	TaskID     int                // task | result | presult | error; reducetask | fetch: reduce partition
+	Attempt    int                // task | result | presult: retry ordinal, 0-based
+	Records    []string           // task
+	Partial    map[string]float64 // result
+	Jobs       []string           // hello
+	Message    string             // error
+	Version    int                // hello: the worker's protocolVersion
+	Batch      []taskSpec         // taskbatch
+	Partitions int                // helloack: merge partition count (>1: ship results pre-split)
+	Parts      []partitionPartial // presult: per-partition partials; reducetask | fetchresult: per-map-task partials (ID is the map task id)
+	Trace      string             // task | taskbatch: job trace ID (non-empty: trace this task); result | presult: echoed back
+	Spans      []spanSummary      // result | presult: worker-side phase spans
 
-	// Distributed-reduce fields, carried only on connections that
-	// negotiated the "reduce" capability (a fourth trailing layout block
-	// on binary frames). The hello/helloack exchange is always JSON, so
-	// Fetch and Reducers need no layout versioning there.
-	Run      string     `json:"run,omitempty"`      // task | mapdone | reducetask | fetch: run id intermediate output is keyed by
-	Reducers int        `json:"reducers,omitempty"` // helloack: reduce partition count when "reduce" was accepted
-	Fetch    string     `json:"fetch,omitempty"`    // hello: worker's shuffle listener address
-	Bytes    int64      `json:"bytes,omitempty"`    // result (of a reduce task): intermediate bytes fetched
-	Tasks    []int      `json:"tasks,omitempty"`    // fetch: map task ids whose partition slice is wanted
-	Locs     []fetchLoc `json:"locs,omitempty"`     // reducetask: where winning map outputs are stored
+	// Distributed-reduce fields.
+	Run      string     // task | mapdone | reducetask | fetch: run id intermediate output is keyed by
+	Reducers int        // helloack: reduce partition count (0: the master folds)
+	Fetch    string     // hello: worker's shuffle listener address; error (of a reduce task): the peer whose fetch failed
+	Bytes    int64      // result (of a reduce task): intermediate bytes fetched
+	Tasks    []int      // fetch: map task ids whose partition slice is wanted
+	Locs     []fetchLoc // reducetask: where winning map outputs are stored
 
-	// Out-of-core shuffle fields, carried only on connections that
-	// negotiated the "comp" capability (a fifth trailing layout block on
-	// binary frames, plus the compression flag layer around the body).
-	Rep       string   `json:"rep,omitempty"`        // task | taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
-	CompAddrs []string `json:"comp_addrs,omitempty"` // reducetask: shuffle addrs that speak the comp generation (fetch dial hint)
-	Spills    int      `json:"spills,omitempty"`     // mapdone | result: spill runs written while producing this output
-	Spilled   int64    `json:"spilled,omitempty"`    // mapdone | result: bytes written to spill files
-	CompBytes int64    `json:"comp_bytes,omitempty"` // result (of a reduce task): wire bytes saved by frame compression
-	ShuffleMs int64    `json:"shuffle_ms,omitempty"` // helloack: shuffle timeout, milliseconds
+	// Out-of-core shuffle fields.
+	Rep       string // task | taskbatch: peer shuffle addr to replicate to; mapdone: addr actually replicated to
+	Spills    int    // mapdone | result: spill runs written while producing this output
+	Spilled   int64  // mapdone | result: bytes written to spill files
+	CompBytes int64  // result (of a reduce task): wire bytes saved by frame compression
+	ShuffleMs int64  // helloack: shuffle timeout, milliseconds
 
-	// Pipelined-shuffle fields, carried only on connections that
-	// negotiated the "early" capability (a sixth trailing layout block on
-	// binary frames). Total > 0 on a reducetask marks it an early
-	// dispatch: the reducer gathers the initial Locs/Parts, then keeps
-	// receiving morelocs frames (same Run/TaskID, incremental Locs/Parts/
-	// Reps — or Message "abort") until it has covered Total map tasks.
-	Total     int        `json:"total,omitempty"`     // reducetask: map tasks the run will eventually produce (early mode)
-	Reps      []fetchLoc `json:"reps,omitempty"`      // reducetask | morelocs: replica shuffle addrs per map task (local failover)
-	Failovers int        `json:"failovers,omitempty"` // result (of a reduce task): fetches locally rerouted to a replica
+	// Pipelined-shuffle fields. Total > 0 on a reducetask marks it an
+	// early dispatch: the reducer gathers the initial Locs/Parts, then
+	// keeps receiving morelocs frames (same Run/TaskID, incremental Locs/
+	// Parts/Reps — or Message "abort") until it has covered Total map
+	// tasks.
+	Total     int        // reducetask: map tasks the run will eventually produce (early mode)
+	Reps      []fetchLoc // reducetask | morelocs: replica shuffle addrs per map task (local failover)
+	Failovers int        // result (of a reduce task): fetches locally rerouted to a replica
 }
 
 // fetchLoc names one worker's shuffle listener and the map tasks whose
 // persisted output it holds — the reduce task's treasure map.
 type fetchLoc struct {
-	Addr  string `json:"addr"`
-	Tasks []int  `json:"tasks"`
+	Addr  string
+	Tasks []int
 }
 
 // spanSummary is one worker-side phase interval shipped back piggybacked
@@ -146,9 +101,9 @@ type fetchLoc struct {
 // timeline, so workers need no synchronized clocks — only a monotonic
 // one.
 type spanSummary struct {
-	Phase string  `json:"phase"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
+	Phase string
+	Start float64
+	End   float64
 }
 
 // partitionPartial is one merge partition's slice of a shard result: the
@@ -156,67 +111,49 @@ type spanSummary struct {
 // master can route it to a partition accumulator without rehashing.
 // Empty partitions are omitted from the Parts list.
 type partitionPartial struct {
-	ID      int                `json:"id"`
-	Partial map[string]float64 `json:"partial,omitempty"`
+	ID      int
+	Partial map[string]float64
 }
 
 // taskSpec is one shard inside a taskbatch frame; the worker answers
 // each spec with its own result frame, in order.
 type taskSpec struct {
-	Job     string   `json:"job"`
-	TaskID  int      `json:"task_id"`
-	Attempt int      `json:"attempt,omitempty"`
-	Records []string `json:"records,omitempty"`
+	Job     string
+	TaskID  int
+	Attempt int
+	Records []string
 }
 
-// conn wraps a net.Conn with framing and deadlines. It starts in JSON
-// mode and is switched to the binary codec by the hello negotiation.
-// A conn is used by one goroutine at a time, so its scratch buffers
-// need no locking.
+// conn wraps a net.Conn with framing and deadlines. A conn is used by
+// one goroutine at a time, so its scratch buffers need no locking.
 type conn struct {
 	raw net.Conn
 	r   *bufio.Reader
-	enc *json.Encoder
 
-	binary bool // codec v2 negotiated for both directions
-	binExt bool // bin2 layout (trailing partition fields) negotiated
-	trc    bool // trace layout (trailing Trace/Spans fields) negotiated
-	red    bool // reduce layout (trailing Run/…/Locs fields) negotiated
-	cmp    bool // comp layout (flag layer + trailing Rep/…/ShuffleMs fields) negotiated
-	erl    bool // early layout (trailing Total/Reps/Failovers fields) negotiated
-
-	// sniff arms one-shot generation detection on shuffle-server
-	// connections: the first body byte of a comp dialer is its
-	// compression flag (0x00/0x01), a legacy reduce dialer's is its
-	// frame type byte (never below 2 on a shuffle connection), so the
-	// server adopts the dialer's generation without a handshake.
-	sniff bool
-
-	// lastDecode is the wire-decode cost of the most recent recv,
-	// measured only on traced connections: the worker charges it to the
-	// task's "decode" span so deserialization overhead is attributed
-	// instead of vanishing into RPC time.
+	// lastDecode is the wire-decode cost of the most recent recv: the
+	// worker charges it to a traced task's "decode" span so
+	// deserialization overhead is attributed instead of vanishing into
+	// RPC time.
 	lastDecode time.Duration
 
-	// lastFrameLen is the encoded size of the most recent recv (body
-	// bytes in binary mode, line bytes in JSON mode) — what a reducer
-	// charges to Stats.ShuffleBytes per fetched frame.
+	// lastFrameLen is the encoded body size of the most recent recv —
+	// what a reducer charges to Stats.ShuffleBytes per fetched frame.
 	lastFrameLen int
 
-	// lastRawLen is the decompressed body size of the most recent recv on
-	// a comp connection (equal to lastFrameLen-1 for stored bodies);
-	// lastRawLen - lastFrameLen is the wire saving frame compression
-	// bought, which reducers report as CompBytes.
+	// lastRawLen is the decompressed body size of the most recent recv
+	// (equal to lastFrameLen-1 for stored bodies); lastRawLen -
+	// lastFrameLen is the wire saving frame compression bought, which
+	// reducers report as CompBytes.
 	lastRawLen int
 
-	keys    []string // sorted-Partial scratch for binary encode
-	body    []byte   // binary frame read buffer
-	cbuf    []byte   // comp decompression buffer
-	scratch message  // binary decode target; Records/Batch backing reused
+	keys    []string // sorted-Partial scratch for encode
+	body    []byte   // frame read buffer
+	cbuf    []byte   // decompression buffer
+	scratch message  // decode target; Records/Batch backing reused
 }
 
 func newConn(raw net.Conn) *conn {
-	return &conn{raw: raw, r: bufio.NewReader(raw), enc: json.NewEncoder(raw)}
+	return &conn{raw: raw, r: bufio.NewReader(raw)}
 }
 
 func (c *conn) send(m message, timeout time.Duration) error {
@@ -228,14 +165,8 @@ func (c *conn) send(m message, timeout time.Duration) error {
 		// A previous timed send must not poison this untimed one.
 		return err
 	}
-	if !c.binary {
-		if err := c.enc.Encode(m); err != nil {
-			return fmt.Errorf("netmr: send %s: %w", m.Type, err)
-		}
-		return nil
-	}
 	bufp := encBufPool.Get().(*[]byte)
-	frame, keys, err := appendFrame((*bufp)[:0], &m, c.keys, c.binExt, c.trc, c.red, c.cmp, c.erl)
+	frame, keys, err := appendFrame((*bufp)[:0], &m, c.keys)
 	c.keys = keys
 	if err == nil {
 		_, err = c.raw.Write(frame) // one write: one frame per chaos fault op
@@ -256,25 +187,6 @@ func (c *conn) recv(timeout time.Duration) (message, error) {
 	} else if err := c.raw.SetReadDeadline(time.Time{}); err != nil {
 		return message{}, err
 	}
-	if !c.binary {
-		line, err := c.r.ReadBytes('\n')
-		if err != nil {
-			return message{}, fmt.Errorf("netmr: recv: %w", err)
-		}
-		c.lastFrameLen = len(line)
-		var decodeStart time.Time
-		if c.trc {
-			decodeStart = time.Now()
-		}
-		var m message
-		if err := json.Unmarshal(line, &m); err != nil {
-			return message{}, fmt.Errorf("netmr: decode: %w", err)
-		}
-		if c.trc {
-			c.lastDecode = time.Since(decodeStart)
-		}
-		return m, nil
-	}
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
 		return message{}, fmt.Errorf("netmr: recv: %w", err)
@@ -290,30 +202,17 @@ func (c *conn) recv(timeout time.Duration) (message, error) {
 		return message{}, fmt.Errorf("netmr: recv: %w", err)
 	}
 	c.lastFrameLen = len(c.body)
-	var decodeStart time.Time
-	if c.trc {
-		decodeStart = time.Now()
+	decodeStart := time.Now()
+	raw, scratch, _, err := unwrapCompressedBody(c.body, c.cbuf)
+	c.cbuf = scratch
+	if err != nil {
+		return message{}, fmt.Errorf("netmr: recv: %w", err)
 	}
-	body := c.body
-	if c.sniff {
-		c.cmp = len(body) > 0 && body[0] <= 1
-		c.sniff = false
-	}
-	if c.cmp {
-		raw, scratch, _, err := unwrapCompressedBody(body, c.cbuf)
-		if err != nil {
-			return message{}, fmt.Errorf("netmr: recv: %w", err)
-		}
-		c.cbuf = scratch
-		body = raw
-	}
-	c.lastRawLen = len(body)
-	if err := decodeFrame(body, &c.scratch, c.binExt, c.trc, c.red, c.cmp, c.erl); err != nil {
+	c.lastRawLen = len(raw)
+	if err := decodeFrame(raw, &c.scratch); err != nil {
 		return message{}, err
 	}
-	if c.trc {
-		c.lastDecode = time.Since(decodeStart)
-	}
+	c.lastDecode = time.Since(decodeStart)
 	// The scratch's Records/Batch backing arrays are reclaimed on the
 	// next recv; callers are done with them by then (the worker finishes
 	// a task before receiving the next frame).
@@ -388,8 +287,8 @@ func (r *Registry) lookup(name string) (Job, bool) {
 
 // partitionIndex hashes key into [0, parts) with FNV-1a — the one hash
 // function workers and master must agree on, since a worker-partitioned
-// result and a master-partitioned fallback must land identical keys in
-// identical partitions.
+// result and a master-side split or lineage re-execution must land
+// identical keys in identical partitions.
 func partitionIndex(key string, parts int) int {
 	if parts <= 1 {
 		return 0
@@ -662,7 +561,7 @@ func runShardTraced(j Job, records []string, sc *shardScratch, decode time.Durat
 
 // runShardPartitionedTraced is runShardPartitioned with per-phase span
 // recording; the hash split gets its own "partition" span so the cost
-// the part capability moves off the master is visible in the timeline.
+// pre-splitting moves off the master is visible in the timeline.
 func runShardPartitionedTraced(j Job, records []string, sc *shardScratch, parts int, decode time.Duration) ([]partitionPartial, []spanSummary) {
 	if parts <= 1 {
 		out, spans := runShardTraced(j, records, sc, decode)

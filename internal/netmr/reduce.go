@@ -9,18 +9,17 @@ import (
 )
 
 // Master-side scheduler of the distributed reduce phase: after the split
-// barrier the R partitions go back out to the reduce-capable workers as
-// reduce tasks, under the same retry/backoff/speculation discipline as
-// map shards. The master never folds a key here — its remaining job is
-// routing: telling each reducer where the winning map outputs live (the
-// fetch plan) and carrying the relayed slices of v1/non-reduce workers.
+// barrier the R partitions go back out to the workers as reduce tasks,
+// under the same retry/backoff/speculation discipline as map shards.
+// The master never folds a key here — its remaining job is routing:
+// telling each reducer where the winning map outputs live (the fetch
+// plan) and carrying master-held copies inline.
 
 // reducePlan is everything the reduce phase needs to route intermediate
 // data: where the winning map outputs live (mapLocs), where their peer
 // replicas live (replicaLocs), the master-held replica payloads of
-// unreplicated outputs (replicaParts), the relayed slices of v1 workers
-// (relay), and the lineage inputs (job + shardRecords) for the last-ditch
-// map re-execution fallback.
+// unreplicated outputs (replicaParts), and the lineage inputs (job +
+// shardRecords) for the last-ditch map re-execution fallback.
 type reducePlan struct {
 	jobName      string
 	job          Job
@@ -28,15 +27,12 @@ type reducePlan struct {
 	mapLocs      map[int]string
 	replicaLocs  map[int]string
 	replicaParts map[int][]partitionPartial
-	relay        [][]partitionPartial
 	shards       int
 	shardRecords func(int) []string
 }
 
-// runReducePhase assigns the R reduce partitions to reduce-capable
-// workers and returns their folded partitions, indexed by partition id.
-// Non-reduce workers drawn from the idle pool are parked for the
-// duration and returned on every exit path.
+// runReducePhase assigns the R reduce partitions to workers and returns
+// their folded partitions, indexed by partition id.
 //
 // Unlike the map phase, fetch plans are computed per dispatch against the
 // current shuffle-address liveness view: a map output whose primary
@@ -78,7 +74,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 
 	// buildPlan computes one dispatch's fetch plan: each live holder
 	// address with the (sorted) map tasks to fetch from it, the replica
-	// addresses an early-layout reducer may fail over to worker-locally,
+	// addresses the reducer may fail over to worker-locally,
 	// plus the partition's slice of any output that has to travel inline
 	// (master replica or re-executed). Runs in the event-loop goroutine —
 	// it mutates shared state (replicaParts cache, stats).
@@ -151,22 +147,18 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 
 	// dispatchReduce ships one partition to a reduce worker and reports
 	// exactly once. A reply that is not this partition's result drops the
-	// worker — except a comp reducer's "the fetch failed" report (an error
+	// worker — except a reducer's "the fetch failed" report (an error
 	// frame naming the holder address): there the reducer is healthy and
 	// the holder is not, so the holder is marked dead, the reducer returns
-	// to the pool, and the retry re-plans around the loss.
-	dispatchReduce := func(w *workerHandle, t shardTask, locs []fetchLoc, parts []partitionPartial, compAddrs []string, reps []fetchLoc, launch int) {
+	// to the pool, and the retry re-plans around the loss. Replica
+	// addresses (Reps) let the reducer retry a dead holder's tasks against
+	// the replica itself instead of failing the whole launch back here.
+	dispatchReduce := func(w *workerHandle, t shardTask, locs []fetchLoc, parts []partitionPartial, reps []fetchLoc, launch int) {
 		traceID := ""
-		if trc != nil && w.trace {
+		if trc != nil {
 			traceID = trc.ID
 		}
-		fr := message{Type: "reducetask", Job: plan.jobName, TaskID: t.id, Attempt: t.attempts, Run: plan.runID, Locs: locs, Parts: parts, CompAddrs: compAddrs, Trace: traceID}
-		if w.early {
-			// Replica addresses ride the early layout: the reducer retries
-			// a dead holder's tasks against the replica itself instead of
-			// failing the whole launch back to the master.
-			fr.Reps = reps
-		}
+		fr := message{Type: "reducetask", Job: plan.jobName, TaskID: t.id, Attempt: t.attempts, Run: plan.runID, Locs: locs, Parts: parts, Reps: reps, Trace: traceID}
 		start := time.Now()
 		err := w.c.send(fr, m.cfg.TaskTimeout)
 		var reply message
@@ -191,17 +183,16 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 			err = fmt.Errorf("netmr: worker %s failed reduce partition %d: %s", w.id, t.id, detail)
 		}
 		if err != nil {
+			// Drop before reporting, so the phase loop's empty-pool check
+			// sees the loss when it handles the failure.
+			m.dropWorker(w)
 			ledger.shardFailed(w.id, elapsed)
 			m.metrics.reassignments.With(w.id).Inc()
 			if trc != nil {
 				trc.closeLaunch(launch, outcomeFailed, nil)
 			}
 			failCh <- launchFail{task: t, err: err}
-			m.dropWorker(w)
 			return
-		}
-		if !w.trace {
-			reply.Spans = nil // only negotiated trace peers may report phases
 		}
 		m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
 		ledger.shardDone(w.id, elapsed)
@@ -227,15 +218,6 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 	for p := range earlySeeded {
 		inflight[p] = &flight{launches: 1, lastLaunch: time.Now()}
 	}
-
-	// Only reduce-capable workers can serve this phase; everyone else
-	// pulled from the idle pool parks here until the phase ends.
-	var parked []*workerHandle
-	defer func() {
-		for _, w := range parked {
-			m.idle <- w
-		}
-	}()
 
 	liveLaunches := func() int {
 		total := 0
@@ -308,10 +290,6 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 
 		select {
 		case w := <-idleCh:
-			if !w.reduce {
-				parked = append(parked, w)
-				continue
-			}
 			t := queue[readyIdx]
 			queue = append(queue[:readyIdx], queue[readyIdx+1:]...)
 			f := inflight[t.id]
@@ -330,19 +308,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 			// goroutine, where the shared replica cache and stats would
 			// race.
 			locs, inline, reps := buildPlan(t.id)
-			taskParts := plan.relay[t.id]
-			if len(inline) > 0 {
-				taskParts = append(append([]partitionPartial{}, taskParts...), inline...)
-			}
-			// Only comp reducers get the comp-peer list (the frame field
-			// needs the comp layout); they dial the flag layer exclusively
-			// to addresses on it, so mixed-generation shuffle planes never
-			// misparse each other.
-			var compAddrs []string
-			if w.comp {
-				compAddrs = m.liveCompAddrs()
-			}
-			go dispatchReduce(w, t, locs, taskParts, compAddrs, reps, launch)
+			go dispatchReduce(w, t, locs, inline, reps, launch)
 
 		case r := <-resultCh:
 			if f := inflight[r.task.id]; f != nil {
@@ -409,9 +375,9 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 				abandon()
 				return nil, fmt.Errorf("netmr: reduce partition %d failed %d times, retry budget exhausted: %w", t.id, t.attempts, fl.err)
 			}
-			if m.redCount.Load() == 0 && (f == nil || f.launches == 0) {
+			if m.WorkerCount() == 0 && (f == nil || f.launches == 0) {
 				abandon()
-				return nil, fmt.Errorf("netmr: all reduce-capable workers lost with partition %d outstanding: %w", t.id, fl.err)
+				return nil, fmt.Errorf("netmr: all workers lost with partition %d outstanding: %w", t.id, fl.err)
 			}
 			delay := backoffDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, m.cfg.RetryJitter, m.cfg.RetrySeed, t.id, t.attempts)
 			m.metrics.retries.Inc()

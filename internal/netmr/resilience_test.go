@@ -83,11 +83,11 @@ func TestLatencyQuantile(t *testing.T) {
 
 // TestRetryBudgetExhaustionSurfacesLastError drives every dispatch into
 // an injected drop (master-side chaos, DropRate 1 with the hello read
-// exempt) so one shard burns its full MaxAttempts budget; the returned
-// error must name the shard, the attempt count, and wrap the final
-// injected error.
+// and helloack write exempt) so one shard burns its full MaxAttempts
+// budget; the returned error must name the shard, the attempt count, and
+// wrap the final injected error.
 func TestRetryBudgetExhaustionSurfacesLastError(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 11, DropRate: 1})
+	inj := chaos.New(chaos.Config{Seed: 11, DropRate: 1, GraceOps: 2})
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
 		TaskTimeout:    2 * time.Second,
 		JobTimeout:     10 * time.Second,
@@ -381,4 +381,46 @@ func scrapeValue(text, name string) (float64, bool) {
 		return v, true
 	}
 	return 0, false
+}
+
+// TestLastWorkerLossFailsFast is the regression test for the run that
+// hung until JobTimeout when its last worker died: the dispatcher used to
+// report the failure before dropping the worker, so the Run loop saw one
+// worker still alive, requeued the shard and waited for an idle worker
+// that never came. A lone worker crashing on its first task must now fail
+// the run with "all workers lost" at once, every time.
+func TestLastWorkerLossFailsFast(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		master, err := NewMaster(mustRegistry(t), MasterConfig{
+			JobTimeout: 5 * time.Minute, RetryBaseDelay: time.Millisecond, Metrics: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := master.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(mustRegistry(t), WithChaos(chaos.New(chaos.Config{Seed: int64(i), CrashRate: 1})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(addr); err != nil {
+			t.Fatal(err)
+		}
+		if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, _, err = master.Run(context.Background(), "wordcount", testLines(t, 50), 4)
+		elapsed := time.Since(start)
+		w.Stop()
+		master.Close()
+		if err == nil || !strings.Contains(err.Error(), "all workers lost") {
+			t.Fatalf("iteration %d: Run = %v, want an all-workers-lost error", i, err)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("iteration %d: Run took %v to notice its last worker died", i, elapsed)
+		}
+	}
 }

@@ -13,20 +13,19 @@ import (
 	"ipso/internal/runner"
 )
 
-// Worker-side half of the distributed reduce phase: a reduce-capable
-// worker persists its partitioned map output keyed by (run, map task),
-// serves it to peer reducers over fetch/fetchresult frames on a
-// dedicated shuffle listener, and executes reduce tasks by pulling
-// every map task's slice of its partition from those peers (or from the
-// master-relayed inline partials of v1/non-reduce peers) and folding
-// them — the OSDI'04 shape where reduce work scales with the cluster
-// instead of living in the master process.
+// Worker-side half of the distributed reduce phase: a worker persists
+// its partitioned map output keyed by (run, map task), serves it to peer
+// reducers over fetch/fetchresult frames on a dedicated shuffle
+// listener, and executes reduce tasks by pulling every map task's slice
+// of its partition from those peers (or from master-held inline copies)
+// and folding them — the OSDI'04 shape where reduce work scales with
+// the cluster instead of living in the master process.
 //
 // The store is out-of-core: a configurable byte budget bounds how much
 // intermediate output stays resident, whole partition sets spilling to
 // per-run temp files (sorted by key, indexed by partition) when it is
-// exceeded, and comp-generation peers replicate each persisted set to
-// one peer so a worker lost after mapdone no longer loses its outputs.
+// exceeded, and each persisted set is replicated to one peer so a worker
+// lost after mapdone no longer loses its outputs.
 
 // defaultShuffleTimeout bounds one fetch round-trip between workers
 // unless WorkerConfig/MasterConfig override it.
@@ -77,7 +76,7 @@ func (s *interStore) configure(budget int64, dir string) {
 	s.budget, s.baseDir = budget, dir
 }
 
-// setReducers publishes the helloack-granted reduce partition count to
+// setReducers publishes the helloack's reduce partition count to
 // the shuffle server goroutines (which validate fetch requests with it).
 func (s *interStore) setReducers(r int) {
 	s.mu.Lock()
@@ -238,11 +237,12 @@ func (s *interStore) slice(run string, partition int, tasks []int) ([]partitionP
 	return out, nil
 }
 
-// startFetchListener binds the worker's shuffle listener on an ephemeral
-// localhost port and serves fetch requests until the listener closes.
-// The returned address is what the worker advertises in its hello.
+// startFetchListener binds the worker's shuffle listener (an ephemeral
+// localhost port by default) and serves fetch requests until the
+// listener closes. The returned address is what the worker advertises
+// in its hello.
 func (w *Worker) startFetchListener() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", w.fetchListen)
 	if err != nil {
 		return "", fmt.Errorf("netmr: shuffle listen: %w", err)
 	}
@@ -286,19 +286,11 @@ func (w *Worker) closeFetchPlane() {
 }
 
 // serveFetch handles one peer shuffle connection. Shuffle connections
-// are negotiation-free on the reduce layout (only reduce-capable peers
-// dial one, so both ends speak ext+red unconditionally); whether the
-// dialer additionally speaks the comp generation is sniffed from the
-// first body byte — the comp flag layer starts with 0x00/0x01, a
-// legacy body with its frame type byte (never below 2 on a shuffle
-// connection) — so reduce-only peers from the previous generation stay
-// byte-identical. A bad request gets an error frame and the connection
-// keeps serving — one rogue fetch must not take the worker's other
-// partitions down with it.
+// need no hello: every peer speaks the one frame layout. A bad request
+// gets an error frame and the connection keeps serving — one rogue
+// fetch must not take the worker's other partitions down with it.
 func (w *Worker) serveFetch(raw net.Conn) {
 	c := newConn(raw)
-	c.binary, c.binExt, c.red = true, true, true
-	c.sniff = true
 	defer func() {
 		_ = c.close()
 		w.mu.Lock()
@@ -348,8 +340,7 @@ func (w *Worker) serveFetch(raw net.Conn) {
 
 // fetchExchange runs one fetch request/response over an established
 // shuffle connection, returning the per-task partials, the encoded
-// bytes transferred, and — on comp connections — the wire bytes frame
-// compression saved. A refusal (error frame from a healthy peer) comes
+// bytes transferred, and the wire bytes frame compression saved. A refusal (error frame from a healthy peer) comes
 // back as a peerRefusal so the pool knows the connection survived it.
 func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, int64, error) {
 	if err := c.send(message{Type: "fetch", Run: run, TaskID: partition, Tasks: tasks}, timeout); err != nil {
@@ -361,12 +352,7 @@ func fetchExchange(c *conn, addr, run string, partition int, tasks []int, timeou
 	}
 	switch reply.Type {
 	case "fetchresult":
-		var saved int64
-		if c.cmp {
-			if sv := int64(c.lastRawLen) - int64(c.lastFrameLen); sv > 0 {
-				saved = sv
-			}
-		}
+		saved := max(int64(c.lastRawLen)-int64(c.lastFrameLen), 0)
 		return reply.Parts, int64(c.lastFrameLen), saved, nil
 	case "error":
 		return nil, 0, 0, &peerRefusal{msg: fmt.Sprintf("netmr: fetch from %s refused: %s", addr, reply.Message)}
@@ -399,10 +385,9 @@ func replicateExchange(c *conn, addr, run string, task int, parts []partitionPar
 // peer's shuffle listener over a fresh dial-per-call connection. The
 // pooled path (shufflePool.fetchPartition) has replaced it on the hot
 // path; this remains as the unpooled baseline the shuffle benchmarks
-// compare against. cmp must reflect the target peer's generation (the
-// master names comp-capable addrs on the reducetask frame).
-func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration, cmp bool) ([]partitionPartial, int64, int64, error) {
-	c, err := dialShuffle(addr, cmp, timeout)
+// compare against.
+func fetchPartition(addr, run string, partition int, tasks []int, timeout time.Duration) ([]partitionPartial, int64, int64, error) {
+	c, err := dialShuffle(addr, timeout)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -411,11 +396,10 @@ func fetchPartition(addr, run string, partition int, tasks []int, timeout time.D
 }
 
 // replicateParts pushes one persisted partition set to a peer's shuffle
-// listener (always a comp-generation peer — the master only names
-// those) over a fresh dial-per-call connection and waits for the
+// listener over a fresh dial-per-call connection and waits for the
 // replicack. Like fetchPartition, superseded by the pooled path.
 func replicateParts(addr, run string, task int, parts []partitionPartial, reducers int, timeout time.Duration) error {
-	c, err := dialShuffle(addr, true, timeout)
+	c, err := dialShuffle(addr, timeout)
 	if err != nil {
 		return err
 	}
@@ -459,7 +443,7 @@ type locResult struct {
 // map tasks' replica holders when repOf names them; only when that too
 // fails (or no replica covers a task) does the round error, naming the
 // primary so the master routes recovery around it.
-func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, compAddrs map[string]bool, cmp bool, to time.Duration) ([]locResult, error) {
+func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf map[int]string, to time.Duration) ([]locResult, error) {
 	ctx := runner.WithWorkers(context.Background(), w.shuffleFanout)
 	return runner.Map(ctx, len(locs), func(_ context.Context, i int) (locResult, error) {
 		loc := locs[i]
@@ -471,14 +455,14 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 			return locResult{parts: parts}, nil
 		}
 		fetchStart := time.Now()
-		parts, n, sv, err := w.pool.fetchPartition(loc.Addr, run, partition, loc.Tasks, to, cmp && compAddrs[loc.Addr])
+		parts, n, sv, err := w.pool.fetchPartition(loc.Addr, run, partition, loc.Tasks, to)
 		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
 		if err == nil {
 			workerFetches.With("ok").Inc()
 			return locResult{parts: parts, fetched: n, saved: sv}, nil
 		}
 		workerFetches.With("failed").Inc()
-		res, ferr := w.fetchFailover(run, partition, loc, repOf, compAddrs, cmp, to)
+		res, ferr := w.fetchFailover(run, partition, loc, repOf, to)
 		if ferr != nil {
 			return locResult{}, &fetchError{addr: loc.Addr, err: err}
 		}
@@ -490,7 +474,7 @@ func (w *Worker) fetchRound(run string, partition int, locs []fetchLoc, repOf ma
 // replica holders. Every task must have a known replica distinct from
 // the failed primary and every replica fetch must succeed — a partial
 // recovery is no recovery, so the primary's failure stands otherwise.
-func (w *Worker) fetchFailover(run string, partition int, loc fetchLoc, repOf map[int]string, compAddrs map[string]bool, cmp bool, to time.Duration) (locResult, error) {
+func (w *Worker) fetchFailover(run string, partition int, loc fetchLoc, repOf map[int]string, to time.Duration) (locResult, error) {
 	if len(repOf) == 0 {
 		return locResult{}, fmt.Errorf("netmr: no replica locations known")
 	}
@@ -509,7 +493,7 @@ func (w *Worker) fetchFailover(run string, partition int, loc fetchLoc, repOf ma
 	var out locResult
 	for _, rep := range order {
 		fetchStart := time.Now()
-		parts, n, sv, err := w.pool.fetchPartition(rep, run, partition, groups[rep], to, cmp && compAddrs[rep])
+		parts, n, sv, err := w.pool.fetchPartition(rep, run, partition, groups[rep], to)
 		workerFetchSeconds.Observe(time.Since(fetchStart).Seconds())
 		if err != nil {
 			workerFetches.With("failed").Inc()
@@ -526,13 +510,13 @@ func (w *Worker) fetchFailover(run string, partition int, loc fetchLoc, repOf ma
 }
 
 // runReduceTask executes one reduce task: gather the partition's slice
-// of every map task — master-relayed inline partials plus peer fetches
+// of every map task — master-held inline partials plus peer fetches
 // (the worker's own store is read directly, no loopback dial) — fold
 // them in ascending map-task order, and answer with a flat result frame
 // carrying the partition's final key space and the intermediate bytes
 // fetched. Fetches run concurrently up to the shuffle fan-out over
 // pooled connections, and fetch failures fail over to replica holders
-// locally when the task frame named them. Under a spill budget the
+// locally when the task frame named them (Reps). Under a spill budget the
 // gathered partials buffer through a spillFolder whose sorted runs
 // merge back via loser tree, keeping the output byte-identical to the
 // in-memory fold. On an early dispatch (Total > 0) the initial
@@ -561,7 +545,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	var clock *spanClock
 	var t time.Time
-	if w.traced {
+	if m.Trace != "" {
 		clock, t = newSpanClock(decode)
 	}
 	start := time.Now()
@@ -582,10 +566,6 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		inputs = append(inputs, taskPartial{task: task, partial: partial})
 		return nil
 	}
-	compAddrs := map[string]bool{}
-	for _, a := range m.CompAddrs {
-		compAddrs[a] = true
-	}
 	repOf := map[int]string{}
 	noteReps := func(reps []fetchLoc) {
 		for _, rep := range reps {
@@ -597,17 +577,17 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	noteReps(m.Reps)
 	var fetched, compSaved int64
 	var failovers int
-	// round gathers one batch of map outputs: the master-relayed inline
-	// partials (from v1/non-reduce peers or recovered map re-executions;
-	// ID is the map task id there, not a partition index), then the
-	// fetch locations, concurrently.
+	// round gathers one batch of map outputs: the master-held inline
+	// partials (unreplicated outputs or recovered map re-executions; ID
+	// is the map task id there, not a partition index), then the fetch
+	// locations, concurrently.
 	round := func(parts []partitionPartial, locs []fetchLoc) (string, error) {
 		for _, p := range parts {
 			if err := gather(p.ID, p.Partial); err != nil {
 				return "", err
 			}
 		}
-		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, compAddrs, c.cmp, to)
+		results, err := w.fetchRound(m.Run, m.TaskID, locs, repOf, to)
 		if err != nil {
 			var fe *fetchError
 			if errors.As(err, &fe) {
@@ -663,11 +643,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	if gatherErr != nil {
 		workerTasks.With("fetch_failed").Inc()
-		fail := message{Type: "error", TaskID: m.TaskID, Message: gatherErr.Error()}
-		if c.cmp {
-			fail.Fetch = failedAddr
-		}
-		_ = c.send(fail, to)
+		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: gatherErr.Error(), Fetch: failedAddr}, to)
 		return true
 	}
 	workerShuffleBytes.Add(float64(fetched))
@@ -683,7 +659,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 	} else {
 		// Deterministic fold order: ascending map task id, whatever order
-		// the relays and fetches arrived in.
+		// the inline partials and fetches arrived in.
 		sort.Slice(inputs, func(i, j int) bool { return inputs[i].task < inputs[j].task })
 		out = foldTaskPartials(job, inputs)
 	}
@@ -704,19 +680,14 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		}
 		spans = clock.spans
 	}
-	res := message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: out, Bytes: fetched, Trace: m.Trace, Spans: spans}
-	if c.erl {
-		res.Failovers = failovers
-	}
-	if c.cmp {
-		res.CompBytes = compSaved
-		if folder != nil {
-			res.CompBytes += folder.compSaved
-			res.Spills = folder.spillRuns
-			res.Spilled = folder.spilledBytes
-			workerSpillRuns.Add(float64(folder.spillRuns))
-			workerSpilledBytes.Add(float64(folder.spilledBytes))
-		}
+	res := message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: out, Bytes: fetched,
+		CompBytes: compSaved, Failovers: failovers, Trace: m.Trace, Spans: spans}
+	if folder != nil {
+		res.CompBytes += folder.compSaved
+		res.Spills = folder.spillRuns
+		res.Spilled = folder.spilledBytes
+		workerSpillRuns.Add(float64(folder.spillRuns))
+		workerSpilledBytes.Add(float64(folder.spilledBytes))
 	}
 	return c.send(res, to) == nil
 }

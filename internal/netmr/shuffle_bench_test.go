@@ -61,7 +61,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, _, err := fetchPartition(addr, run, i%R, ids, 10*time.Second, false)
+			parts, _, _, err := fetchPartition(addr, run, i%R, ids, 10*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func BenchmarkShuffleFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			parts, _, _, err := p.fetchPartition(addr, run, i%R, ids, 10*time.Second, false)
+			parts, _, _, err := p.fetchPartition(addr, run, i%R, ids, 10*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -179,20 +179,20 @@ func TestEvictedRunReducersReset(t *testing.T) {
 	if _, _, _, err := w.store.put("wc#1", 0, parts4, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}, defaultShuffleTimeout, false); err != nil {
+	if _, _, _, err := fetchPartition(addr, "wc#1", 3, []int{0}, defaultShuffleTimeout); err != nil {
 		t.Fatalf("partition 3 under the 4-reducer run refused: %v", err)
 	}
 	// New run with a smaller reducer count evicts the old one wholesale.
 	if _, _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: map[string]float64{"z": 1}}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout, false); err == nil {
+	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("stale fetch against the evicted run served")
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}, defaultShuffleTimeout, false); err == nil {
+	if _, _, _, err := fetchPartition(addr, "wc#2", 3, []int{0}, defaultShuffleTimeout); err == nil {
 		t.Error("partition valid only under the evicted run's count served")
 	}
-	if _, _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout, false); err != nil {
+	if _, _, _, err := fetchPartition(addr, "wc#2", 1, []int{0}, defaultShuffleTimeout); err != nil {
 		t.Errorf("valid fetch against the new run refused: %v", err)
 	}
 }

@@ -19,42 +19,29 @@ type Worker struct {
 	registry *Registry
 	chaos    *chaos.Injector
 	scratch  *shardScratch // reused across every shard this worker runs
-	caps     []string      // capabilities advertised in the hello
 
-	// partitions is the merge partition count granted in the helloack
-	// when the master accepted the "part" capability; >1 makes this
-	// worker pre-split every result by key hash before shipping it.
-	// Written once by serve before any task arrives.
+	// partitions is the merge partition count the helloack set; >1 makes
+	// this worker pre-split every result by key hash before shipping it.
+	// Written once by Start before any task arrives.
 	partitions int
 
-	// traced is set when the master granted the "trace" capability: every
-	// shard then runs through the span-recording execution path and ships
-	// its phase summaries back on the result frame. Written once by serve
-	// before any task arrives.
-	traced bool
-
 	// Distributed-reduce state: reducers is the reduce partition count
-	// granted in the helloack when the master accepted the "reduce"
-	// capability (written once by serve before any task arrives);
+	// the helloack set (written once by Start before any task arrives);
 	// fetchAddr is this worker's shuffle listener address (advertised in
 	// the hello) and store its intermediate map-output store, which the
-	// shuffle server goroutines read concurrently.
-	reducers  int
-	fetchAddr string
-	fetchLn   net.Listener
-	store     *interStore
+	// shuffle server goroutines read concurrently. fetchListen is the
+	// listener's bind address.
+	reducers    int
+	fetchListen string
+	fetchAddr   string
+	fetchLn     net.Listener
+	store       *interStore
 
 	// fetchConns tracks the accepted shuffle-plane sockets (guarded by
 	// mu) so tearing the plane down severs in-flight peers too: closing
 	// only the listener refuses new dials but leaves accepted sockets —
 	// and the peers' pooled connections riding them — fully alive.
 	fetchConns map[net.Conn]struct{}
-
-	// comp is set when the master granted the "comp" capability: frames
-	// gain the compression flag layer and the worker replicates each
-	// persisted partition set to the peer the master names on the task
-	// frame (Rep) before acknowledging mapdone.
-	comp bool
 
 	// Pipelined-shuffle state: pool caches idle shuffle-plane connections
 	// per peer (reused by reduce fetches and replication pushes), and
@@ -64,7 +51,7 @@ type Worker struct {
 	shuffleFanout int
 
 	// Out-of-core configuration (WithWorkerConfig). The shuffle timeout
-	// is atomic because the helloack handler may adjust it while the
+	// is atomic because the helloack may adjust it while the
 	// fetch-listener goroutines are already serving peers.
 	shuffleTimeoutNs atomic.Int64
 	spillBudget      int64
@@ -133,7 +120,7 @@ func WithWorkerConfig(cfg WorkerConfig) WorkerOption {
 }
 
 // shuffleTO is the current shuffle round-trip bound, safe to read from
-// the fetch-server goroutines while the helloack handler updates it.
+// the fetch-server goroutines while the helloack updates it.
 func (w *Worker) shuffleTO() time.Duration {
 	return time.Duration(w.shuffleTimeoutNs.Load())
 }
@@ -146,7 +133,7 @@ func NewWorker(registry *Registry, opts ...WorkerOption) (*Worker, error) {
 	w := &Worker{
 		registry:      registry,
 		scratch:       newShardScratch(),
-		caps:          workerCaps(),
+		fetchListen:   "127.0.0.1:0",
 		store:         newInterStore(),
 		shuffleFanout: defaultShufflePoolPerPeer,
 		fetchConns:    make(map[net.Conn]struct{}),
@@ -168,57 +155,51 @@ func (w *Worker) StoreStats() (peakBytes, spilledBytes int64, spillRuns int) {
 	return w.store.stats()
 }
 
-// Start connects to the master and serves tasks on a background
-// goroutine. Use Stop (or closing the master) to terminate; Wait blocks
-// until the serve loop exits.
+// Start binds the worker's shuffle listener, connects to the master,
+// completes the hello exchange and serves tasks on a background
+// goroutine. It fails when the listener cannot bind or the master
+// refuses the hello (a protocol version mismatch names both versions).
+// Use Stop (or closing the master) to terminate.
 func (w *Worker) Start(masterAddr string) error {
 	raw, err := net.DialTimeout("tcp", masterAddr, 5*time.Second)
 	if err != nil {
 		return fmt.Errorf("netmr: dial master: %w", err)
 	}
+	c := newConn(w.chaos.WrapConn("", raw))
+	fail := func(err error) error {
+		_ = c.close()
+		w.closeFetchPlane()
+		return err
+	}
+	addr, err := w.startFetchListener()
+	if err != nil {
+		return fail(err)
+	}
+	w.fetchAddr = addr
 	// The local endpoint is a unique, stable identity for this connection;
 	// the master uses it to attribute shards, failures and RPC latency to
 	// a specific worker.
-	id := raw.LocalAddr().String()
-	c := newConn(w.chaos.WrapConn("", raw))
-	// A reduce-capable worker needs a shuffle listener before the hello
-	// can advertise its address; if the listener cannot bind, the worker
-	// simply does not offer reduce rather than failing to start.
-	caps := w.caps
-	for _, offered := range caps {
-		if offered != capReduce {
-			continue
-		}
-		if addr, lnErr := w.startFetchListener(); lnErr == nil {
-			w.fetchAddr = addr
-		} else {
-			trimmed := make([]string, 0, len(caps)-1)
-			for _, o := range caps {
-				if o != capReduce {
-					trimmed = append(trimmed, o)
-				}
-			}
-			caps = trimmed
-		}
-		break
+	hello := message{Type: "hello", ID: raw.LocalAddr().String(), Jobs: w.registry.Names(), Version: protocolVersion, Fetch: addr}
+	if err := c.send(hello, 5*time.Second); err != nil {
+		return fail(err)
 	}
-	// The hello is always JSON; Caps advertises the binary codec and
-	// batching, which the master accepts with a helloack. A master that
-	// predates capabilities ignores the field and the connection simply
-	// stays on JSON.
-	if err := c.send(message{Type: "hello", ID: id, Jobs: w.registry.Names(), Caps: caps, Fetch: w.fetchAddr}, 5*time.Second); err != nil {
-		_ = c.close()
-		return err
+	ack, err := c.recv(10 * time.Second)
+	if err != nil {
+		return fail(err)
+	}
+	if ack.Type != "helloack" {
+		return fail(fmt.Errorf("netmr: master refused hello: %s", ack.Message))
+	}
+	w.partitions = ack.Partitions
+	w.reducers = ack.Reducers
+	w.store.setReducers(ack.Reducers)
+	if ack.ShuffleMs > 0 {
+		w.shuffleTimeoutNs.Store(int64(time.Duration(ack.ShuffleMs) * time.Millisecond))
 	}
 	w.mu.Lock()
 	if w.stopped {
-		ln := w.fetchLn
 		w.mu.Unlock()
-		_ = c.close()
-		if ln != nil {
-			_ = ln.Close()
-		}
-		return errors.New("netmr: worker already stopped")
+		return fail(errors.New("netmr: worker already stopped"))
 	}
 	w.netConn = raw
 	w.mu.Unlock()
@@ -238,34 +219,6 @@ func (w *Worker) serve(c *conn) {
 			return
 		}
 		switch m.Type {
-		case "helloack":
-			// The master accepted our capabilities; everything after
-			// this frame speaks the binary codec in both directions.
-			for _, accepted := range m.Caps {
-				switch accepted {
-				case capBinary:
-					c.binary = true
-				case capBinaryExt:
-					c.binExt = true
-				case capPartition:
-					w.partitions = m.Partitions
-				case capTrace:
-					c.trc = true
-					w.traced = true
-				case capReduce:
-					c.red = true
-					w.reducers = m.Reducers
-					w.store.setReducers(m.Reducers)
-					if m.ShuffleMs > 0 {
-						w.shuffleTimeoutNs.Store(int64(time.Duration(m.ShuffleMs) * time.Millisecond))
-					}
-				case capComp:
-					c.cmp = true
-					w.comp = true
-				case capEarly:
-					c.erl = true
-				}
-			}
 		case "task":
 			if !w.runTask(c, m.Job, m.TaskID, m.Attempt, m.Records, m.Run, m.Trace, m.Rep, c.lastDecode) {
 				return
@@ -293,7 +246,7 @@ func (w *Worker) serve(c *conn) {
 				return
 			}
 		default:
-			// Ignore unknown frames: forward compatibility.
+			// Ignore unknown frames.
 		}
 	}
 }
@@ -302,13 +255,12 @@ func (w *Worker) serve(c *conn) {
 // master. It returns false when the serve loop must exit: a send
 // failure or an injected crash. run, when non-empty, is the persist-mode
 // signal of a distributed-reduce job: the shard's output is partitioned
-// by the granted reducer count, stored for peer fetches, and only a
-// payload-free mapdone travels back. trace is the job trace ID stamped
-// on the task frame (echoed back on the result) and decode the
-// wire-decode cost of the frame that carried this shard; both are
-// zero-valued on untraced connections. rep, on comp connections in
-// persist mode, names the peer shuffle listener to replicate the
-// partition set to before mapdone.
+// by the helloack's reducer count, stored for peer fetches, and only a
+// mapdone travels back. trace is the job trace ID stamped on the task
+// frame: non-empty means record phase spans and echo it back on the
+// result. decode is the wire-decode cost of the frame that carried this
+// shard. rep, in persist mode, names the peer shuffle listener to
+// replicate the partition set to before mapdone.
 func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records []string, run, trace, rep string, decode time.Duration) bool {
 	job, ok := w.registry.lookup(jobName)
 	if !ok {
@@ -327,6 +279,7 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 			return false
 		}
 	}
+	traced := trace != ""
 	start := time.Now()
 	if run != "" && w.reducers > 0 {
 		// Persist mode: partition by the reduce count, keep the output
@@ -334,7 +287,7 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		// shuffle bytes this keeps off the master are the whole point.
 		var parts []partitionPartial
 		var spans []spanSummary
-		if w.traced {
+		if traced {
 			parts, spans = runShardPartitionedTraced(job, records, w.scratch, w.reducers, decode)
 		} else {
 			parts = runShardPartitioned(job, records, w.scratch, w.reducers)
@@ -347,34 +300,30 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 			workerSpillErrors.Inc()
 		}
 		putDur := time.Since(putStart)
-		done := message{Type: "mapdone", TaskID: taskID, Attempt: attempt, Run: run, Trace: trace}
-		var repDur time.Duration
-		if c.cmp {
-			done.Spills = spills
-			done.Spilled = spilled
-			done.CompBytes = saved
-			if spills > 0 {
-				workerSpillRuns.Add(float64(spills))
-				workerSpilledBytes.Add(float64(spilled))
-			}
-			if rep != "" {
-				repStart := time.Now()
-				if rerr := w.pool.replicateParts(rep, run, taskID, parts, w.reducers, w.shuffleTO()); rerr == nil {
-					done.Rep = rep
-					workerReplications.With("ok").Inc()
-				} else {
-					// The named peer would not take the replica: ship the
-					// set inline so the master holds it instead.
-					done.Parts = parts
-					workerReplications.With("failed").Inc()
-				}
-				repDur = time.Since(repStart)
-			} else {
-				// No peer qualifies: the master holds the replica.
-				done.Parts = parts
-			}
+		done := message{Type: "mapdone", TaskID: taskID, Attempt: attempt, Run: run, Trace: trace,
+			Spills: spills, Spilled: spilled, CompBytes: saved}
+		if spills > 0 {
+			workerSpillRuns.Add(float64(spills))
+			workerSpilledBytes.Add(float64(spilled))
 		}
-		if w.traced {
+		var repDur time.Duration
+		if rep != "" {
+			repStart := time.Now()
+			if rerr := w.pool.replicateParts(rep, run, taskID, parts, w.reducers, w.shuffleTO()); rerr == nil {
+				done.Rep = rep
+				workerReplications.With("ok").Inc()
+			} else {
+				// The named peer would not take the replica: ship the
+				// set inline so the master holds it instead.
+				done.Parts = parts
+				workerReplications.With("failed").Inc()
+			}
+			repDur = time.Since(repStart)
+		} else {
+			// No peer qualifies: the master holds the replica.
+			done.Parts = parts
+		}
+		if traced {
 			if spills > 0 {
 				spans = appendSpanAfter(spans, spanSpill, putDur)
 			}
@@ -404,12 +353,12 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		return true
 	}
 	if w.partitions > 1 {
-		// The master granted the part capability: ship the result
-		// pre-split by key hash so the merge engine routes it straight to
-		// its partition folders — the hashing cost moves off the master.
+		// The master runs a partitioned merge: ship the result pre-split
+		// by key hash so the merge engine routes it straight to its
+		// partition folders — the hashing cost moves off the master.
 		var parts []partitionPartial
 		var spans []spanSummary
-		if w.traced {
+		if traced {
 			parts, spans = runShardPartitionedTraced(job, records, w.scratch, w.partitions, decode)
 		} else {
 			parts = runShardPartitioned(job, records, w.scratch, w.partitions)
@@ -420,7 +369,7 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 	}
 	var partial map[string]float64
 	var spans []spanSummary
-	if w.traced {
+	if traced {
 		partial, spans = runShardTraced(job, records, w.scratch, decode)
 	} else {
 		partial = runShard(job, records, w.scratch)

@@ -70,26 +70,30 @@ func NonlinearFit(f ModelFunc, xs, ys, p0 []float64, opts NLSOptions) (NLSResult
 	copy(p, p0)
 	m, np := len(xs), len(p)
 
-	residuals := func(p []float64) ([]float64, float64) {
-		r := make([]float64, m)
+	// Every buffer the iterations need is allocated once per call:
+	// residuals (current and candidate, swapped on acceptance), the
+	// Jacobian, the normal equations and the damped system the solver
+	// eliminates in place.
+	r, rNew := make([]float64, m), make([]float64, m)
+	jac := rows(make([]float64, m*np), m, np)
+	jtj, a := rows(make([]float64, np*np), np, np), rows(make([]float64, np*np), np, np)
+	jtr, cand := make([]float64, np), make([]float64, np)
+	sol := newLinearWorkspace(np)
+
+	residuals := func(p, r []float64) float64 {
 		sse := 0.0
 		for i := range xs {
 			r[i] = ys[i] - f(p, xs[i])
 			sse += r[i] * r[i]
 		}
-		return r, sse
+		return sse
 	}
 
-	r, sse := residuals(p)
+	sse := residuals(p, r)
 	if math.IsNaN(sse) || math.IsInf(sse, 0) {
 		return NLSResult{}, fmt.Errorf("%w: model not finite at initial parameters", ErrBadFit)
 	}
 	lambda := opts.Lambda0
-
-	jac := make([][]float64, m)
-	for i := range jac {
-		jac[i] = make([]float64, np)
-	}
 
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
@@ -106,10 +110,7 @@ func NonlinearFit(f ModelFunc, xs, ys, p0 []float64, opts NLSOptions) (NLSResult
 		}
 
 		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·Δ = Jᵀr.
-		jtj := make([][]float64, np)
-		jtr := make([]float64, np)
 		for j := 0; j < np; j++ {
-			jtj[j] = make([]float64, np)
 			for k := 0; k <= j; k++ {
 				s := 0.0
 				for i := 0; i < m; i++ {
@@ -131,23 +132,23 @@ func NonlinearFit(f ModelFunc, xs, ys, p0 []float64, opts NLSOptions) (NLSResult
 
 		improved := false
 		for attempt := 0; attempt < 30; attempt++ {
-			a := make([][]float64, np)
+			// solveLinearSystem permutes a's rows, so every row is
+			// rewritten from jtj before each attempt.
 			for j := range a {
-				a[j] = make([]float64, np)
 				copy(a[j], jtj[j])
 				a[j][j] += lambda * math.Max(jtj[j][j], 1e-12)
 			}
-			delta, ok := solveLinearSystem(a, jtr)
+			delta, ok := sol.solve(a, jtr)
 			if ok {
-				cand := make([]float64, np)
 				for j := range p {
 					cand[j] = p[j] + delta[j]
 				}
-				rNew, sseNew := residuals(cand)
+				sseNew := residuals(cand, rNew)
 				if !math.IsNaN(sseNew) && sseNew < sse {
 					rel := (sse - sseNew) / math.Max(sse, 1e-300)
 					copy(p, cand)
-					r, sse = rNew, sseNew
+					r, rNew = rNew, r
+					sse = sseNew
 					lambda = math.Max(lambda*0.3, 1e-12)
 					improved = true
 					if rel < opts.Tol {
@@ -168,6 +169,15 @@ func NonlinearFit(f ModelFunc, xs, ys, p0 []float64, opts NLSOptions) (NLSResult
 	// Reaching here means either a damping stall (a local minimum to
 	// machine precision — converged in practice) or MaxIter exhaustion.
 	return reportNLS(NLSResult{Params: p, SSE: sse, Iters: iters, Converged: iters < opts.MaxIter}), nil
+}
+
+// rows slices a flat n·cols buffer into n row slices of cols each.
+func rows(buf []float64, n, cols int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = buf[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return out
 }
 
 // SolveLinear solves the dense system a·x = b by Gaussian elimination
@@ -196,9 +206,24 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 // solveLinearSystem solves a·x = b by Gaussian elimination with partial
 // pivoting. It reports false for singular systems. a is modified.
 func solveLinearSystem(a [][]float64, b []float64) ([]float64, bool) {
+	return newLinearWorkspace(len(b)).solve(a, b)
+}
+
+// linearWorkspace holds the solution and right-hand-side buffers of
+// repeated n×n solves, so an iterative caller allocates them once.
+type linearWorkspace struct {
+	x, rhs []float64
+}
+
+func newLinearWorkspace(n int) *linearWorkspace {
+	return &linearWorkspace{x: make([]float64, n), rhs: make([]float64, n)}
+}
+
+// solve is solveLinearSystem into the workspace: the returned slice is
+// the workspace's and is overwritten by the next solve.
+func (ws *linearWorkspace) solve(a [][]float64, b []float64) ([]float64, bool) {
 	n := len(b)
-	x := make([]float64, n)
-	rhs := make([]float64, n)
+	x, rhs := ws.x, ws.rhs
 	copy(rhs, b)
 	for col := 0; col < n; col++ {
 		pivot := col
