@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -24,10 +23,12 @@ import (
 // of the protocol, so a hello whose remaining layout this build cannot
 // decode still reveals its version (peekHello).
 //
-// Every field of message is encoded in a fixed order (strings as uvarint
-// length + bytes, ints as varints, Partial as sorted key/IEEE-754 pairs)
-// so any frame round-trips exactly and unknown type bytes still decode
-// (the receiver ignores them). The CRC-32C keeps single-bit wire
+// Every field of message is encoded in a fixed order: strings as uvarint
+// length + bytes, ints as varints, Partial as its key/IEEE-754 pairs in
+// the order the producer emitted them. That order is a function of the
+// task's inputs, never of map iteration, so frames are byte-deterministic
+// and any frame round-trips exactly, key order included. Unknown type
+// bytes still decode (the receiver ignores them). The CRC-32C keeps single-bit wire
 // corruption detectable. It is computed over the raw body before
 // compression, so it guards the decompressed payload end to end. Only
 // bulk payload frames (result/presult/fetchresult/replicate) at or
@@ -102,21 +103,16 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// appendPairs appends a Partial map as sorted key/IEEE-754 pairs, so a
-// frame's bytes never depend on map iteration order. keys is sort
-// scratch, returned grown for reuse.
-func appendPairs(b []byte, m map[string]float64, keys []string) ([]byte, []string) {
-	b = binary.AppendUvarint(b, uint64(len(m)))
-	keys = keys[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+// appendPairs appends a partial as its count, then each key with its
+// IEEE-754 value, in the partial's own order: the bytes are as
+// deterministic as the producer's emission order, with no sort.
+func appendPairs(b []byte, p pairs) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p.Keys)))
+	for i, k := range p.Keys {
 		b = appendString(b, k)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m[k]))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Vals[i]))
 	}
-	return b, keys
+	return b
 }
 
 func appendInts(b []byte, xs []int) []byte {
@@ -136,13 +132,11 @@ func appendLocs(b []byte, locs []fetchLoc) []byte {
 	return b
 }
 
-// appendFrame appends the complete wire frame for m to dst. keys is a
-// reusable scratch slice for sorting Partial (may be nil); the grown
-// scratch is returned for reuse.
-func appendFrame(dst []byte, m *message, keys []string) ([]byte, []string, error) {
+// appendFrame appends the complete wire frame for m to dst.
+func appendFrame(dst []byte, m *message) ([]byte, error) {
 	tb, ok := frameTypes[m.Type]
 	if !ok {
-		return dst, keys, fmt.Errorf("netmr: unencodable frame type %q", m.Type)
+		return dst, fmt.Errorf("netmr: unencodable frame type %q", m.Type)
 	}
 	// Reserve room for the length prefix after the body is built; encode
 	// the body at the end of dst and splice the prefix in front.
@@ -154,7 +148,7 @@ func appendFrame(dst []byte, m *message, keys []string) ([]byte, []string, error
 	b = binary.AppendVarint(b, int64(m.TaskID))
 	b = binary.AppendVarint(b, int64(m.Attempt))
 	b = appendStrings(b, m.Records)
-	b, keys = appendPairs(b, m.Partial, keys)
+	b = appendPairs(b, m.Partial)
 	b = appendStrings(b, m.Jobs)
 	b = appendString(b, m.Message)
 	b = binary.AppendUvarint(b, uint64(len(m.Batch)))
@@ -168,7 +162,7 @@ func appendFrame(dst []byte, m *message, keys []string) ([]byte, []string, error
 	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
 	for _, part := range m.Parts {
 		b = binary.AppendVarint(b, int64(part.ID))
-		b, keys = appendPairs(b, part.Partial, keys)
+		b = appendPairs(b, part.Partial)
 	}
 	b = appendString(b, m.Trace)
 	b = binary.AppendUvarint(b, uint64(len(m.Spans)))
@@ -196,14 +190,14 @@ func appendFrame(dst []byte, m *message, keys []string) ([]byte, []string, error
 
 	bodyLen := len(b) - bodyStart
 	if bodyLen > maxFrameBytes {
-		return dst, keys, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
+		return dst, fmt.Errorf("netmr: frame of %d bytes exceeds the %d limit", bodyLen, maxFrameBytes)
 	}
 	var prefix [binary.MaxVarintLen64]byte
 	pn := binary.PutUvarint(prefix[:], uint64(bodyLen))
 	b = append(b, prefix[:pn]...)                          // grow by prefix length
 	copy(b[bodyStart+pn:], b[bodyStart:bodyStart+bodyLen]) // shift body right
 	copy(b[bodyStart:], prefix[:pn])
-	return b, keys, nil
+	return b, nil
 }
 
 // lzBufPool recycles compression scratch buffers across sends.
@@ -353,31 +347,34 @@ func (r *frameReader) strings(dst []string) ([]string, error) {
 	return dst, nil
 }
 
-// pairs decodes one key/IEEE-754 pair list into a fresh map (nil when
-// empty) — the Partial field's wire shape, shared with every partition
-// of a presult frame. Freshly allocated because results outlive the next
-// recv on the master.
-func (r *frameReader) pairs() (map[string]float64, error) {
+// pairs decodes one key/IEEE-754 pair list into two slices sized by its
+// count (nil when empty), keeping the wire's key order — the Partial
+// field's wire shape, shared with every partition of a presult frame and
+// with spill sections. Freshly allocated because results outlive the
+// next recv on the master. A key the list repeats is kept twice: the
+// folds that consume partials reject it by name.
+func (r *frameReader) pairs() (pairs, error) {
 	np, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return pairs{}, err
 	}
 	if np > uint64(len(r.s)-r.off)/9 { // key length byte + 8 value bytes minimum
-		return nil, fmt.Errorf("netmr: partial of %d pairs overruns frame", np)
+		return pairs{}, fmt.Errorf("netmr: partial of %d pairs overruns frame", np)
 	}
 	if np == 0 {
-		return nil, nil
+		return pairs{}, nil
 	}
-	out := make(map[string]float64, np)
-	for i := uint64(0); i < np; i++ {
+	out := pairs{Keys: make([]string, np), Vals: make([]float64, np)}
+	for i := range out.Keys {
 		k, err := r.string()
 		if err != nil {
-			return nil, err
+			return pairs{}, err
 		}
 		if len(r.s)-r.off < 8 {
-			return nil, fmt.Errorf("netmr: truncated partial value at byte %d", r.off)
+			return pairs{}, fmt.Errorf("netmr: truncated partial value at byte %d", r.off)
 		}
-		out[k] = math.Float64frombits(u64at(r.s, r.off))
+		out.Keys[i] = k
+		out.Vals[i] = math.Float64frombits(u64at(r.s, r.off))
 		r.off += 8
 	}
 	return out, nil

@@ -27,9 +27,9 @@ func codecMessages() []message {
 		{Type: "helloack", Partitions: 8},
 		{Type: "task", Job: "wordcount", TaskID: 3, Attempt: 1, Records: []string{"the quick", "brown fox", ""}},
 		{Type: "task", Job: "", TaskID: -7, Attempt: 0, Records: []string{strings.Repeat("x", 4096)}},
-		{Type: "result", TaskID: 12, Attempt: 2, Partial: map[string]float64{
+		{Type: "result", TaskID: 12, Attempt: 2, Partial: pairsOf(map[string]float64{
 			"alpha": 1, "beta": -2.5, "": 3.25, "πκλ": 1e-300, "big": math.MaxFloat64,
-		}},
+		})},
 		{Type: "error", TaskID: 9, Message: `unknown job "nope"`},
 		{Type: "taskbatch", Batch: []taskSpec{
 			{Job: "wc", TaskID: 0, Records: []string{"r0"}},
@@ -37,20 +37,20 @@ func codecMessages() []message {
 			{Job: "other", TaskID: -1, Records: []string{"a", "b", "c"}},
 		}},
 		{Type: "presult", TaskID: 7, Attempt: 1, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"alpha": 2, "": -1}},
-			{ID: 3, Partial: map[string]float64{"πκλ": 1e-300}},
+			{ID: 0, Partial: pairsOf(map[string]float64{"alpha": 2, "": -1})},
+			{ID: 3, Partial: pairsOf(map[string]float64{"πκλ": 1e-300})},
 		}},
 		{Type: "presult", TaskID: -2, Parts: []partitionPartial{
-			{ID: 1, Partial: nil},
+			{ID: 1, Partial: pairs{}},
 		}},
 		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"traced"}, Trace: "wc-3"},
-		{Type: "result", TaskID: 4, Attempt: 1, Partial: map[string]float64{"k": 2}, Trace: "wc-3", Spans: []spanSummary{
+		{Type: "result", TaskID: 4, Attempt: 1, Partial: pairsOf(map[string]float64{"k": 2}), Trace: "wc-3", Spans: []spanSummary{
 			{Phase: "decode", Start: 0, End: 0.001},
 			{Phase: "map", Start: 0.001, End: 0.25},
 			{Phase: "", Start: -1.5, End: math.MaxFloat64},
 		}},
 		{Type: "presult", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1}},
+			{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
 		}},
 		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Version: -1, Fetch: "127.0.0.1:7001"},
 		{Type: "helloack", Reducers: 4, ShuffleMs: 15000},
@@ -62,13 +62,13 @@ func codecMessages() []message {
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 				{Addr: "", Tasks: nil},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: map[string]float64{"inline": 1}}}},
+			Parts: []partitionPartial{{ID: 3, Partial: pairsOf(map[string]float64{"inline": 1})}}},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2, -5}},
 		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1}},
-			{ID: 2, Partial: nil},
+			{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
+			{ID: 2, Partial: pairs{}},
 		}},
-		{Type: "result", TaskID: 1, Attempt: 2, Partial: map[string]float64{"folded": 9}, Bytes: 123456789},
+		{Type: "result", TaskID: 1, Attempt: 2, Partial: pairsOf(map[string]float64{"folded": 9}), Bytes: 123456789},
 		{Type: "reducetask", Job: "wc", TaskID: 0, Run: "wc#2",
 			Locs:  []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0}}},
 			Reps:  []fetchLoc{{Addr: "127.0.0.1:7003", Tasks: []int{0}}, {Addr: "", Tasks: nil}},
@@ -76,15 +76,15 @@ func codecMessages() []message {
 		{Type: "morelocs", Run: "wc#2", TaskID: 3,
 			Locs:  []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{5}}},
 			Reps:  []fetchLoc{{Addr: "127.0.0.1:7004", Tasks: []int{5}}},
-			Parts: []partitionPartial{{ID: 6, Partial: nil}}},
+			Parts: []partitionPartial{{ID: 6, Partial: pairs{}}}},
 		{Type: "morelocs", Run: "wc#2", TaskID: 1, Message: "abort"},
-		{Type: "result", TaskID: 2, Attempt: 1, Partial: map[string]float64{"f": 1}, Bytes: 77, Failovers: 3},
+		{Type: "result", TaskID: 2, Attempt: 1, Partial: pairsOf(map[string]float64{"f": 1}), Bytes: 77, Failovers: 3},
 	}
 }
 
 func encodeBinary(t testing.TB, m message) []byte {
 	t.Helper()
-	frame, _, err := appendFrame(nil, &m, nil)
+	frame, err := appendFrame(nil, &m)
 	if err != nil {
 		t.Fatalf("appendFrame(%+v): %v", m, err)
 	}
@@ -138,14 +138,14 @@ func readUvarintLen(r *bufio.Reader) (int, error) {
 	}
 }
 
-// normalize maps empty slices and maps onto the decoder's nil
+// normalize maps empty slices and partials onto the decoder's nil
 // convention so an input message and its round trip can be DeepEqual'd.
 func normalize(m message) message {
 	if len(m.Records) == 0 {
 		m.Records = nil
 	}
-	if len(m.Partial) == 0 {
-		m.Partial = nil
+	if len(m.Partial.Keys) == 0 {
+		m.Partial = pairs{}
 	}
 	if len(m.Jobs) == 0 {
 		m.Jobs = nil
@@ -162,8 +162,8 @@ func normalize(m message) message {
 		m.Parts = nil
 	}
 	for i := range m.Parts {
-		if len(m.Parts[i].Partial) == 0 {
-			m.Parts[i].Partial = nil
+		if len(m.Parts[i].Partial.Keys) == 0 {
+			m.Parts[i].Partial = pairs{}
 		}
 	}
 	if len(m.Spans) == 0 {
@@ -194,13 +194,16 @@ func normalize(m message) message {
 // TestBinaryCodecNonFiniteValues: NaN/±Inf values must round-trip
 // bit-exactly.
 func TestBinaryCodecNonFiniteValues(t *testing.T) {
-	m := message{Type: "result", Partial: map[string]float64{
+	m := message{Type: "result", Partial: pairsOf(map[string]float64{
 		"nan": math.NaN(), "inf": math.Inf(1), "ninf": math.Inf(-1),
-	}}
+	})}
 	got := decodeBinary(t, encodeBinary(t, m))
-	for k, want := range m.Partial {
-		if math.Float64bits(got.Partial[k]) != math.Float64bits(want) {
-			t.Errorf("Partial[%q] = %x, want %x", k, math.Float64bits(got.Partial[k]), math.Float64bits(want))
+	if !reflect.DeepEqual(got.Partial.Keys, m.Partial.Keys) {
+		t.Fatalf("keys %q, want %q", got.Partial.Keys, m.Partial.Keys)
+	}
+	for i, want := range m.Partial.Vals {
+		if math.Float64bits(got.Partial.Vals[i]) != math.Float64bits(want) {
+			t.Errorf("Partial[%q] = %x, want %x", m.Partial.Keys[i], math.Float64bits(got.Partial.Vals[i]), math.Float64bits(want))
 		}
 	}
 }
@@ -226,7 +229,7 @@ func TestBinaryCodecBufferReuse(t *testing.T) {
 // wire body must be rejected — the CRC's whole job, with the flag byte
 // guarded by the flag check.
 func TestDecodeFrameRejectsCorruption(t *testing.T) {
-	m := message{Type: "result", TaskID: 4, Partial: map[string]float64{"k": 2}}
+	m := message{Type: "result", TaskID: 4, Partial: pairsOf(map[string]float64{"k": 2})}
 	body := frameBody(t, encodeBinary(t, m))
 	for i := range body {
 		for bit := 0; bit < 8; bit++ {
@@ -334,7 +337,7 @@ func fuzzReceivePath(f *testing.F, targets ...string) {
 		if _, ok := frameTypes[m.Type]; !ok {
 			return // unknown type placeholder: the receiver ignores it
 		}
-		frame, _, err := appendFrame(nil, &m, nil)
+		frame, err := appendFrame(nil, &m)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
@@ -342,7 +345,7 @@ func fuzzReceivePath(f *testing.F, targets ...string) {
 		if err := decodeWire(frameBody(t, frame), &again); err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		frame2, _, err := appendFrame(nil, &again, nil)
+		frame2, err := appendFrame(nil, &again)
 		if err != nil {
 			t.Fatalf("round-tripped frame failed to re-encode: %v", err)
 		}
@@ -518,11 +521,7 @@ func TestRunShardPreservesValueOrder(t *testing.T) {
 	}
 	records := []string{"a=1 b=9 a=2", "b=8 a=3 c=5"}
 	got := runShard(j, records, newShardScratch())
-	want := map[string]float64{
-		"a": 1 + 2*10 + 3*100,
-		"b": 9 + 8*10,
-		"c": 5,
-	}
+	want := pairs{Keys: []string{"a", "b", "c"}, Vals: []float64{1 + 2*10 + 3*100, 9 + 8*10, 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("runShard = %v, want %v", got, want)
 	}

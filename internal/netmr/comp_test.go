@@ -24,19 +24,19 @@ func compFrameSeeds() []message {
 		{Type: "mapdone", TaskID: 3, Attempt: 1, Run: "wc#1",
 			Rep: "127.0.0.1:7009", Spills: 2, Spilled: 4096},
 		{Type: "mapdone", TaskID: 4, Run: "wc#1",
-			Parts: []partitionPartial{{ID: 0, Partial: map[string]float64{"inline": 1}}}},
+			Parts: []partitionPartial{{ID: 0, Partial: pairsOf(map[string]float64{"inline": 1})}}},
 		{Type: "reducetask", Job: "wc", TaskID: 1, Run: "wc#1",
 			Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}}},
 			Reps: []fetchLoc{{Addr: "127.0.0.1:7002", Tasks: []int{0, 2}}}},
 		{Type: "replicate", Run: "wc#1", TaskID: 2, Reducers: 4,
 			Parts: []partitionPartial{
-				{ID: 0, Partial: map[string]float64{"a": 1}},
-				{ID: 3, Partial: nil},
+				{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
+				{ID: 3, Partial: pairs{}},
 			}},
 		{Type: "replicack", TaskID: 2},
-		{Type: "result", TaskID: 1, Attempt: 1, Partial: map[string]float64{"folded": 9},
+		{Type: "result", TaskID: 1, Attempt: 1, Partial: pairsOf(map[string]float64{"folded": 9}),
 			Bytes: 1 << 20, CompBytes: 512, Spills: 1, Spilled: 2048},
-		{Type: "result", TaskID: 0, Partial: big},
+		{Type: "result", TaskID: 0, Partial: pairsOf(big)},
 		{Type: "helloack", Partitions: 4, Reducers: 4, ShuffleMs: 15000},
 	}
 }
@@ -127,7 +127,7 @@ func TestLZDecompressRejectsMalformed(t *testing.T) {
 // raw body, and both unwrap back to the identical checksummed body.
 func TestCompFrameWireForms(t *testing.T) {
 	small := message{Type: "ping"}
-	frame, _, err := appendFrame(nil, &small, nil)
+	frame, err := appendFrame(nil, &small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestCompFrameWireForms(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		big["shared-key-prefix-"+string(rune('a'+i%26))+string(rune('a'+(i/26)%26))+string(rune('a'+i%7))] = float64(i % 3)
 	}
-	large := message{Type: "result", TaskID: 1, Partial: big}
-	compFrame, _, err := appendFrame(nil, &large, nil)
+	large := message{Type: "result", TaskID: 1, Partial: pairsOf(big)}
+	compFrame, err := appendFrame(nil, &large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCompFrameWireForms(t *testing.T) {
 	if err := decodeFrame(unwrapped, &again); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Partial, big) {
+	if !reflect.DeepEqual(again.Partial, large.Partial) {
 		t.Fatal("compressed result frame round trip lossy")
 	}
 }
@@ -198,7 +198,7 @@ func TestCompressedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("compressed cluster result diverged from reference")
 	}

@@ -674,7 +674,7 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 // bytes carrying the shuffle volume the reducer reported.
 type launchDone struct {
 	task      shardTask
-	partial   map[string]float64
+	partial   pairs
 	parts     []partitionPartial
 	prepart   bool
 	stored    bool
@@ -907,7 +907,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
 			ledger.shardDone(w.id, elapsed)
 			if trc != nil {
-				trc.closeLaunch(launchOf(acked), outcomeOK, reply.Spans)
+				trc.closeLaunch(launchOf(acked), outcomeOK, withReplyDecode(reply.Spans, w.c.lastDecode))
 			}
 			resultCh <- launchDone{
 				task: t, partial: reply.Partial, parts: reply.Parts,
@@ -1011,7 +1011,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	// buildEarly snapshots partition p's gather plan at launch time:
 	// locations for stored outputs (rerouted when a primary is already
 	// gone), replica addresses for worker-local failover, and explicit
-	// inline entries for master-held copies — nil Partial markers
+	// inline entries for master-held copies — empty Partial markers
 	// included for tasks that emitted nothing into p, so the reducer's
 	// coverage count can reach Total. An output that would
 	// need lineage re-execution returns !ok: pre-barrier recovery is not
@@ -1053,7 +1053,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			if !okp {
 				return nil, nil, nil, false
 			}
-			var slice map[string]float64
+			var slice pairs
 			for _, pp := range mp {
 				if pp.ID == p {
 					slice = pp.Partial
@@ -1103,7 +1103,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 				m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
 				ledger.shardDone(w.id, elapsed)
 				if trc != nil {
-					trc.closeLaunch(launch, outcomeOK, reply.Spans)
+					trc.closeLaunch(launch, outcomeOK, withReplyDecode(reply.Spans, w.c.lastDecode))
 				}
 				rResultCh <- launchDone{
 					task: t, partial: reply.Partial, bytes: reply.Bytes,
@@ -1161,12 +1161,12 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	// entirely (map outputs stay on workers). The deferred shutdown covers every error return so an
 	// abandoned job never leaks folder goroutines.
 	var eng *mergeEngine
-	var partials []map[string]float64
+	var partials []pairs
 	switch {
 	case useReduce:
 		// No master-side fold: the reduce phase after the barrier does it.
 	case m.cfg.SerialMerge:
-		partials = make([]map[string]float64, 0, shards)
+		partials = make([]pairs, 0, shards)
 	default:
 		eng = newMergeEngine(job, m.cfg.Partitions, shards)
 		defer eng.shutdown()
@@ -1531,17 +1531,11 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			return nil, stats, rerr
 		}
 		_, mergeSpan := obs.StartSpan(ctx, "merge")
-		total := 0
-		for _, f := range finals {
-			total += len(f)
-		}
-		out := make(map[string]float64, total)
-		for _, f := range finals {
-			for k, v := range f {
-				out[k] = v
-			}
-		}
+		out, uerr := unionPairs(finals)
 		mergeSpan.End()
+		if uerr != nil {
+			return nil, stats, uerr
+		}
 		end := time.Now()
 		if trc != nil {
 			trc.addPhase("merge", reduceEnd, end)
@@ -1568,8 +1562,9 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 		for p := range eng.busy {
 			m.metrics.mergePartition.With(strconv.Itoa(p)).Observe(time.Duration(eng.busy[p].Load()).Seconds())
 		}
-	} else {
-		out = serialMerge(job, partials)
+	} else if out, err = serialMerge(job, partials); err != nil {
+		mergeSpan.End()
+		return nil, stats, err
 	}
 	mergeSpan.End()
 	end := time.Now()
@@ -1584,70 +1579,41 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	return out, stats, nil
 }
 
-// flatten collapses a pre-partitioned result back into one map for the
-// SerialMerge path (which should only ever see flat results, since its
-// helloack sets one partition — this is defensive).
-func flatten(parts []partitionPartial, whole map[string]float64) map[string]float64 {
+// flatten collapses a pre-partitioned result back into one flat partial
+// for the SerialMerge path (which should only ever see flat results,
+// since its helloack sets one partition — this is defensive).
+func flatten(parts []partitionPartial, whole pairs) pairs {
 	if parts == nil {
 		return whole
 	}
-	n := 0
-	for _, p := range parts {
-		n += len(p.Partial)
+	if len(parts) == 1 {
+		return parts[0].Partial
 	}
-	out := make(map[string]float64, n)
+	var out pairs
 	for _, p := range parts {
-		for k, v := range p.Partial {
-			out[k] = v
-		}
+		out.Keys = append(out.Keys, p.Partial.Keys...)
+		out.Vals = append(out.Vals, p.Partial.Vals...)
 	}
 	return out
 }
 
 // serialMerge is the legacy barrier-then-merge: every partial folded
-// through one goroutine after the split completes. Jobs with a streaming
-// Combine fold partials directly into the result; the rest group values
-// per key (slices recycled through valuesPool) and Reduce once.
-func serialMerge(job Job, partials []map[string]float64) map[string]float64 {
-	// The largest partial is a lower bound on the distinct-key count:
-	// pre-sizing on it avoids most rehash-and-copy growth.
-	size := 0
+// through one goroutine after the split completes, in arrival order.
+// Jobs with a streaming Combine fold partials as they go; the rest
+// group values per key and Reduce once. A key one partial repeats fails
+// the merge (errDuplicateKey).
+func serialMerge(job Job, partials []pairs) (map[string]float64, error) {
+	n := 0
 	for _, p := range partials {
-		if len(p) > size {
-			size = len(p)
+		n += len(p.Keys)
+	}
+	f := newKeyFold(job, n)
+	for i, p := range partials {
+		if err := f.add(p); err != nil {
+			return nil, fmt.Errorf("netmr: serial merge: shard result %d repeats %w", i, err)
 		}
 	}
-	if job.Combine != nil {
-		out := make(map[string]float64, size)
-		for _, p := range partials {
-			for k, v := range p {
-				if acc, ok := out[k]; ok {
-					out[k] = job.Combine(acc, v)
-				} else {
-					out[k] = v
-				}
-			}
-		}
-		return out
-	}
-	merged := make(map[string]*[]float64, size)
-	for _, p := range partials {
-		for k, v := range p {
-			vs, ok := merged[k]
-			if !ok {
-				vs = valuesPool.Get().(*[]float64)
-				*vs = (*vs)[:0]
-				merged[k] = vs
-			}
-			*vs = append(*vs, v)
-		}
-	}
-	out := make(map[string]float64, len(merged))
-	for k, vs := range merged {
-		out[k] = job.Reduce(k, *vs)
-		valuesPool.Put(vs)
-	}
-	return out
+	return unionPairs([]pairs{f.result()})
 }
 
 // Close stops accepting workers, halts the heartbeat loop and the

@@ -23,12 +23,13 @@ func benchLines(n int) ([]string, error) {
 // mergeBenchPartials builds shards dense synthetic worker partials over
 // keys distinct keys — every shard carries every key, the worst case
 // for the master-side merge (maximum fold work per key).
-func mergeBenchPartials(shards, keys int) []map[string]float64 {
-	partials := make([]map[string]float64, shards)
+func mergeBenchPartials(shards, keys int) []pairs {
+	partials := make([]pairs, shards)
 	for s := range partials {
-		p := make(map[string]float64, keys)
+		p := pairs{Keys: make([]string, keys), Vals: make([]float64, keys)}
 		for k := 0; k < keys; k++ {
-			p[fmt.Sprintf("key-%05d", k)] = float64(s + k)
+			p.Keys[k] = fmt.Sprintf("key-%05d", k)
+			p.Vals[k] = float64(s + k)
 		}
 		partials[s] = p
 	}
@@ -48,7 +49,9 @@ func benchmarkSerialMerge(b *testing.B, combine bool) {
 	partials := mergeBenchPartials(16, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serialMerge(job, partials)
+		if _, err := serialMerge(job, partials); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -68,23 +71,21 @@ func benchmarkEngineMerge(b *testing.B, combine bool) {
 	}
 }
 
-// presplit re-arranges a flat partial into per-partition maps the way a
-// worker ships them — done outside the benchmark timer so the engine
-// benchmark below measures pure fold parallelism, the steady state of a
-// partitioned cluster.
-func presplit(p map[string]float64, parts int) []partitionPartial {
-	split := make([]map[string]float64, parts)
-	for k, v := range p {
+// presplit re-arranges a flat partial into per-partition partials the
+// way a worker ships them — done outside the benchmark timer so the
+// engine benchmark below measures pure fold parallelism, the steady
+// state of a partitioned cluster.
+func presplit(p pairs, parts int) []partitionPartial {
+	split := make([]pairs, parts)
+	for i, k := range p.Keys {
 		idx := partitionIndex(k, parts)
-		if split[idx] == nil {
-			split[idx] = make(map[string]float64, len(p)/parts+1)
-		}
-		split[idx][k] = v
+		split[idx].Keys = append(split[idx].Keys, k)
+		split[idx].Vals = append(split[idx].Vals, p.Vals[i])
 	}
 	out := make([]partitionPartial, 0, parts)
-	for id, m := range split {
-		if m != nil {
-			out = append(out, partitionPartial{ID: id, Partial: m})
+	for id, sp := range split {
+		if len(sp.Keys) > 0 {
+			out = append(out, partitionPartial{ID: id, Partial: sp})
 		}
 	}
 	return out
@@ -102,7 +103,7 @@ func benchmarkEngineMergePresplit(b *testing.B, combine bool) {
 	for i := 0; i < b.N; i++ {
 		eng := newMergeEngine(job, parts, len(shipped))
 		for _, parts := range shipped {
-			eng.feed(parts, nil)
+			eng.feed(parts, pairs{})
 		}
 		if _, err := eng.finalize(context.Background()); err != nil {
 			b.Fatal(err)

@@ -3,6 +3,7 @@ package netmr
 import (
 	"context"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,41 @@ func startCluster(t *testing.T, n int) (*Master, []*Worker) {
 		t.Fatal(err)
 	}
 	return master, workers
+}
+
+// pairsOf builds a flat partial from a literal map, keys sorted — the
+// one way test fixtures write partials. An empty map gives the empty
+// partial the decoder produces.
+func pairsOf(m map[string]float64) pairs {
+	if len(m) == 0 {
+		return pairs{}
+	}
+	p := pairs{Keys: make([]string, 0, len(m)), Vals: make([]float64, 0, len(m))}
+	for k := range m {
+		p.Keys = append(p.Keys, k)
+	}
+	sort.Strings(p.Keys)
+	for _, k := range p.Keys {
+		p.Vals = append(p.Vals, m[k])
+	}
+	return p
+}
+
+// mapOf collapses a flat partial into a map for comparisons, failing the
+// test on a key the partial repeats (a map would hide it).
+func mapOf(t testing.TB, p pairs) map[string]float64 {
+	t.Helper()
+	if len(p.Keys) != len(p.Vals) {
+		t.Fatalf("partial has %d keys but %d values", len(p.Keys), len(p.Vals))
+	}
+	m := make(map[string]float64, len(p.Keys))
+	for i, k := range p.Keys {
+		if _, dup := m[k]; dup {
+			t.Fatalf("partial repeats key %q", k)
+		}
+		m[k] = p.Vals[i]
+	}
+	return m
 }
 
 func testLines(t *testing.T, n int) []string {

@@ -48,8 +48,8 @@ func TestPartitionIndex(t *testing.T) {
 
 // TestRunShardPartitioned: the partitioned shard execution must be a
 // pure re-arrangement of the flat one — same keys, same values, each key
-// in exactly the partition partitionIndex assigns, empty partitions
-// omitted.
+// in exactly the partition partitionIndex assigns, each partition's keys
+// in the flat result's (emission) order, empty partitions omitted.
 func TestRunShardPartitioned(t *testing.T) {
 	lines := testLines(t, 120)
 	jobs := map[string]Job{"reduce": wordCountJob()}
@@ -59,7 +59,12 @@ func TestRunShardPartitioned(t *testing.T) {
 
 	for name, job := range jobs {
 		t.Run(name, func(t *testing.T) {
-			want := runShard(job, lines, newShardScratch())
+			flatResult := runShard(job, lines, newShardScratch())
+			want := mapOf(t, flatResult)
+			rank := make(map[string]int, len(flatResult.Keys))
+			for i, k := range flatResult.Keys {
+				rank[k] = i
+			}
 			for _, parts := range []int{1, 2, 4, 9} {
 				got := runShardPartitioned(job, lines, newShardScratch(), parts)
 				flat := map[string]float64{}
@@ -67,14 +72,20 @@ func TestRunShardPartitioned(t *testing.T) {
 					if p.ID < 0 || p.ID >= parts {
 						t.Fatalf("parts=%d: partition id %d out of range", parts, p.ID)
 					}
-					if len(p.Partial) == 0 {
+					if len(p.Partial.Keys) == 0 {
 						t.Fatalf("parts=%d: empty partition %d shipped", parts, p.ID)
 					}
-					for k, v := range p.Partial {
+					for i, k := range p.Partial.Keys {
 						if idx := partitionIndex(k, parts); idx != p.ID {
 							t.Fatalf("parts=%d: key %q in partition %d, hashes to %d", parts, k, p.ID, idx)
 						}
-						flat[k] = v
+						if i > 0 && rank[k] < rank[p.Partial.Keys[i-1]] {
+							t.Fatalf("parts=%d: partition %d lists %q after %q, against emission order", parts, p.ID, k, p.Partial.Keys[i-1])
+						}
+						if _, dup := flat[k]; dup {
+							t.Fatalf("parts=%d: key %q shipped twice", parts, k)
+						}
+						flat[k] = p.Partial.Vals[i]
 					}
 				}
 				if !reflect.DeepEqual(flat, want) {
@@ -100,11 +111,14 @@ func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 
 	for name, job := range map[string]Job{"reduce": plain, "combine": combined} {
 		t.Run(name, func(t *testing.T) {
-			partials := make([]map[string]float64, shards)
+			partials := make([]pairs, shards)
 			for i := range partials {
 				partials[i] = runShard(job, lines[i*per:(i+1)*per], newShardScratch())
 			}
-			want := serialMerge(job, partials)
+			want, err := serialMerge(job, partials)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			for _, parts := range []int{1, 2, 4, 7} {
 				for seed := int64(0); seed < 3; seed++ {
@@ -113,7 +127,7 @@ func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 					for _, i := range order {
 						if i%2 == 0 {
 							// Even shards arrive pre-partitioned (a presult)...
-							eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts), nil)
+							eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts), pairs{})
 						} else {
 							// ...odd shards arrive flat (a result frame).
 							eng.feed(nil, partials[i])
@@ -137,7 +151,7 @@ func TestMergeEngineMatchesSerialMerge(t *testing.T) {
 // finalize.
 func TestMergeEngineShutdownIdempotent(t *testing.T) {
 	eng := newMergeEngine(wordCountJob(), 3, 4)
-	eng.feed(nil, map[string]float64{"a": 1})
+	eng.feed(nil, pairsOf(map[string]float64{"a": 1}))
 	eng.shutdown()
 	eng.shutdown()
 	if _, err := eng.finalize(context.Background()); err != nil {
@@ -209,7 +223,7 @@ func runWordCount(t *testing.T, cfg MasterConfig, workers int, lines []string, s
 // reduced output must be identical under every configuration.
 func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 	lines := testLines(t, 500)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 
 	base := MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second}
 	configs := map[string]MasterConfig{
@@ -306,7 +320,7 @@ func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 	rogueWorker(t, addr, "rogue", "127.0.0.1:1", func(m message) message {
 		return message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt,
 			Partial: runShard(wordCountJob(), m.Records, sc),
-			Parts:   []partitionPartial{{ID: 99, Partial: map[string]float64{"smuggled": 1}}}}
+			Parts:   []partitionPartial{{ID: 99, Partial: pairsOf(map[string]float64{"smuggled": 1})}}}
 	})
 	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -316,7 +330,7 @@ func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if _, ok := got["smuggled"]; ok {
 		t.Error("smuggled partition payload leaked into the result")
 	}
@@ -365,7 +379,7 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("result diverged from reference with a rogue presult worker in the pool")
 	}
@@ -382,8 +396,8 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 func presultFrameSeeds() []message {
 	return []message{
 		{Type: "presult", TaskID: 1, Attempt: 1, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1, "b": 2}},
-			{ID: 2, Partial: map[string]float64{"c": -3.5}},
+			{ID: 0, Partial: pairsOf(map[string]float64{"a": 1, "b": 2})},
+			{ID: 2, Partial: pairsOf(map[string]float64{"c": -3.5})},
 		}},
 		{Type: "presult", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
 		{Type: "presult"},
@@ -394,7 +408,7 @@ func presultFrameSeeds() []message {
 // the fuzz seed corpus.
 func spanFrameSeeds() []message {
 	return []message{
-		{Type: "result", TaskID: 1, Attempt: 1, Partial: map[string]float64{"a": 1}, Trace: "wc-1", Spans: []spanSummary{
+		{Type: "result", TaskID: 1, Attempt: 1, Partial: pairsOf(map[string]float64{"a": 1}), Trace: "wc-1", Spans: []spanSummary{
 			{Phase: "decode", Start: 0, End: 0.002},
 			{Phase: "map", Start: 0.002, End: 0.8},
 			{Phase: "combine", Start: 0.8, End: 0.9},
@@ -402,7 +416,7 @@ func spanFrameSeeds() []message {
 		}},
 		{Type: "presult", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
 			{Phase: "partition", Start: 0.1, End: 0.2},
-		}, Parts: []partitionPartial{{ID: 0, Partial: map[string]float64{"k": 1}}}},
+		}, Parts: []partitionPartial{{ID: 0, Partial: pairsOf(map[string]float64{"k": 1})}}},
 		{Type: "result", TaskID: 2, Trace: "", Spans: nil},
 		{Type: "task", Job: "wc", TaskID: 0, Records: []string{"r"}, Trace: "wc-2"},
 	}

@@ -52,7 +52,7 @@ type message struct {
 	TaskID     int                // task | result | presult | error; reducetask | fetch: reduce partition
 	Attempt    int                // task | result | presult: retry ordinal, 0-based
 	Records    []string           // task
-	Partial    map[string]float64 // result
+	Partial    pairs              // result
 	Jobs       []string           // hello
 	Message    string             // error
 	Version    int                // hello: the worker's protocolVersion
@@ -106,13 +106,24 @@ type spanSummary struct {
 	End   float64
 }
 
+// pairs is a partial result on the data path: Vals[i] is the value of
+// Keys[i], each key at most once, in the order its producer emitted it.
+// Producers fill it in an order fixed by their inputs (a shard's first
+// emissions, a fold's ascending map tasks), so encoding it as-is keeps
+// every frame's bytes a function of the task's inputs — no sort, no map
+// iteration, no map to rebuild on the receiving side.
+type pairs struct {
+	Keys []string
+	Vals []float64
+}
+
 // partitionPartial is one merge partition's slice of a shard result: the
 // keys whose hash lands in partition ID, pre-split by the worker so the
 // master can route it to a partition accumulator without rehashing.
 // Empty partitions are omitted from the Parts list.
 type partitionPartial struct {
 	ID      int
-	Partial map[string]float64
+	Partial pairs
 }
 
 // taskSpec is one shard inside a taskbatch frame; the worker answers
@@ -146,10 +157,9 @@ type conn struct {
 	// reducers report as CompBytes.
 	lastRawLen int
 
-	keys    []string // sorted-Partial scratch for encode
-	body    []byte   // frame read buffer
-	cbuf    []byte   // decompression buffer
-	scratch message  // decode target; Records/Batch backing reused
+	body    []byte  // frame read buffer
+	cbuf    []byte  // decompression buffer
+	scratch message // decode target; Records/Batch backing reused
 }
 
 func newConn(raw net.Conn) *conn {
@@ -166,8 +176,7 @@ func (c *conn) send(m message, timeout time.Duration) error {
 		return err
 	}
 	bufp := encBufPool.Get().(*[]byte)
-	frame, keys, err := appendFrame((*bufp)[:0], &m, c.keys)
-	c.keys = keys
+	frame, err := appendFrame((*bufp)[:0], &m)
 	if err == nil {
 		_, err = c.raw.Write(frame) // one write: one frame per chaos fault op
 	}
@@ -303,7 +312,7 @@ func partitionIndex(key string, parts int) int {
 
 // shardScratch holds the flat arena runShard executes in. One scratch
 // per worker is reused across every shard it runs, so steady-state
-// execution allocates only the result map(s) it ships back.
+// execution allocates only the result arrays it ships back.
 type shardScratch struct {
 	keyIDs   map[string]int // key → dense id, reset per shard
 	keys     []string       // id → key
@@ -412,27 +421,33 @@ func (sc *shardScratch) value(j Job, id int) float64 {
 	return j.Reduce(sc.keys[id], sc.arena[lo:lo+sc.counts[id]])
 }
 
-// runShard executes one shard and collects the result into a single map
-// — the unpartitioned wire shape.
-func runShard(j Job, records []string, sc *shardScratch) map[string]float64 {
+// runShard executes one shard and collects the result as one flat
+// partial in emission order — the unpartitioned wire shape.
+func runShard(j Job, records []string, sc *shardScratch) pairs {
 	sc.run(j, records)
-	out := make(map[string]float64, len(sc.keys))
-	for id, k := range sc.keys {
-		out[k] = sc.value(j, id)
+	out := pairs{Keys: append([]string(nil), sc.keys...), Vals: make([]float64, len(sc.keys))}
+	for id := range sc.keys {
+		out.Vals[id] = sc.value(j, id)
 	}
 	return out
 }
 
 // runShardPartitioned executes one shard and collects the result split
-// into hash partitions, each map sized exactly, empty partitions
-// omitted. The hashing cost this moves onto the worker is the cost the
-// master's serial merge no longer pays — the worker side of shrinking
-// Ws(n).
+// into hash partitions, empty partitions omitted. The hashing cost this
+// moves onto the worker is the cost the master's serial merge no longer
+// pays — the worker side of shrinking Ws(n).
 func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int) []partitionPartial {
 	if parts <= 1 {
 		return []partitionPartial{{ID: 0, Partial: runShard(j, records, sc)}}
 	}
 	sc.run(j, records)
+	sc.hashPartitions(parts)
+	return sc.splitPartitions(func(id int) float64 { return sc.value(j, id) })
+}
+
+// hashPartitions records each key's partition in partOf and the key
+// count of every partition in partSize.
+func (sc *shardScratch) hashPartitions(parts int) {
 	nk := len(sc.keys)
 	if cap(sc.partOf) < nk {
 		sc.partOf = make([]int, nk)
@@ -448,22 +463,38 @@ func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int) [
 		sc.partOf[id] = p
 		sc.partSize[p]++
 	}
-	maps := make([]map[string]float64, parts)
+}
+
+// splitPartitions lays the shard's keys out by the split hashPartitions
+// recorded: one Keys and one Vals array for the whole shard, each
+// non-empty partition a window of them holding its keys in emission
+// order. val yields key id's value.
+func (sc *shardScratch) splitPartitions(val func(id int) float64) []partitionPartial {
+	keys := make([]string, len(sc.keys))
+	vals := make([]float64, len(sc.keys))
 	nonEmpty := 0
+	next := make([]int, len(sc.partSize)) // per partition: next free slot
+	off := 0
 	for p, n := range sc.partSize {
+		next[p] = off
+		off += n
 		if n > 0 {
-			maps[p] = make(map[string]float64, n)
 			nonEmpty++
 		}
 	}
 	for id, k := range sc.keys {
-		maps[sc.partOf[id]][k] = sc.value(j, id)
+		p := sc.partOf[id]
+		keys[next[p]] = k
+		vals[next[p]] = val(id)
+		next[p]++
 	}
 	out := make([]partitionPartial, 0, nonEmpty)
-	for p, m := range maps {
-		if m != nil {
-			out = append(out, partitionPartial{ID: p, Partial: m})
+	off = 0
+	for p, n := range sc.partSize {
+		if n > 0 {
+			out = append(out, partitionPartial{ID: p, Partial: pairs{Keys: keys[off : off+n : off+n], Vals: vals[off : off+n : off+n]}})
 		}
+		off += n
 	}
 	return out
 }
@@ -477,7 +508,7 @@ const (
 	spanMap       = "map"       // Map pass over the records (incl. streaming Combine)
 	spanCombine   = "combine"   // per-key reduction of buffered emissions
 	spanPartition = "partition" // hash-splitting keys into merge partitions
-	spanEncode    = "encode"    // building the wire-shape result maps
+	spanEncode    = "encode"    // laying the result out in its wire shape
 	spanFetch     = "fetch"     // reduce task: pulling intermediate partitions from peers
 	spanReduce    = "reduce"    // reduce task: folding the fetched partials
 	spanSpill     = "spill"     // writing sorted spill runs when the memory budget is exceeded
@@ -540,9 +571,9 @@ func appendSpanAfter(spans []spanSummary, phase string, d time.Duration) []spanS
 // CI gates) is untouched; the extra cost here — a few clock reads and
 // one spans slice — is exactly what the tracing-overhead benchmark
 // bounds. The per-key reduction runs as its own pass (the "combine"
-// span) instead of fused into map building, so Wp splits into its two
-// constituents.
-func runShardTraced(j Job, records []string, sc *shardScratch, decode time.Duration) (map[string]float64, []spanSummary) {
+// span) instead of fused into collecting the result, so Wp splits into
+// its two constituents.
+func runShardTraced(j Job, records []string, sc *shardScratch, decode time.Duration) (pairs, []spanSummary) {
 	clock, t := newSpanClock(decode)
 	sc.run(j, records)
 	t = clock.mark(spanMap, t)
@@ -551,10 +582,7 @@ func runShardTraced(j Job, records []string, sc *shardScratch, decode time.Durat
 		vals[id] = sc.value(j, id)
 	}
 	t = clock.mark(spanCombine, t)
-	out := make(map[string]float64, len(sc.keys))
-	for id, k := range sc.keys {
-		out[k] = vals[id]
-	}
+	out := pairs{Keys: append([]string(nil), sc.keys...), Vals: vals}
 	clock.mark(spanEncode, t)
 	return out, clock.spans
 }
@@ -575,39 +603,9 @@ func runShardPartitionedTraced(j Job, records []string, sc *shardScratch, parts 
 		vals[id] = sc.value(j, id)
 	}
 	t = clock.mark(spanCombine, t)
-	nk := len(sc.keys)
-	if cap(sc.partOf) < nk {
-		sc.partOf = make([]int, nk)
-	}
-	sc.partOf = sc.partOf[:nk]
-	if cap(sc.partSize) < parts {
-		sc.partSize = make([]int, parts)
-	}
-	sc.partSize = sc.partSize[:parts]
-	clear(sc.partSize)
-	for id, k := range sc.keys {
-		p := partitionIndex(k, parts)
-		sc.partOf[id] = p
-		sc.partSize[p]++
-	}
+	sc.hashPartitions(parts)
 	t = clock.mark(spanPartition, t)
-	maps := make([]map[string]float64, parts)
-	nonEmpty := 0
-	for p, n := range sc.partSize {
-		if n > 0 {
-			maps[p] = make(map[string]float64, n)
-			nonEmpty++
-		}
-	}
-	for id, k := range sc.keys {
-		maps[sc.partOf[id]][k] = vals[id]
-	}
-	out := make([]partitionPartial, 0, nonEmpty)
-	for p, m := range maps {
-		if m != nil {
-			out = append(out, partitionPartial{ID: p, Partial: m})
-		}
-	}
+	out := sc.splitPartitions(func(id int) float64 { return vals[id] })
 	clock.mark(spanEncode, t)
 	return out, clock.spans
 }

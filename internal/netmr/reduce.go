@@ -51,7 +51,7 @@ type reducePlan struct {
 // launch the master aborted fails with errEarlyAborted and requeues
 // without charging the attempt budget.
 func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *Stats, ledger *perWorkerLedger, trc *JobTrace, deadline <-chan time.Time,
-	resultCh chan launchDone, failCh chan launchFail, earlySeeded map[int]bool) ([]map[string]float64, error) {
+	resultCh chan launchDone, failCh chan launchFail, earlySeeded map[int]bool) ([]pairs, error) {
 	R := m.cfg.Reducers
 
 	// Sorted stored-task ids: the deterministic iteration base for every
@@ -197,7 +197,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 		m.metrics.rpcSeconds.With(w.id).Observe(elapsed.Seconds())
 		ledger.shardDone(w.id, elapsed)
 		if trc != nil {
-			trc.closeLaunch(launch, outcomeOK, reply.Spans)
+			trc.closeLaunch(launch, outcomeOK, withReplyDecode(reply.Spans, w.c.lastDecode))
 		}
 		resultCh <- launchDone{
 			task: t, partial: reply.Partial, bytes: reply.Bytes,
@@ -207,7 +207,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 		m.idle <- w
 	}
 
-	finals := make([]map[string]float64, R)
+	finals := make([]pairs, R)
 	inflight := make(map[int]*flight, R)
 	done := make(map[int]bool, R)
 	var completedLat []float64

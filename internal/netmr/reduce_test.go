@@ -51,10 +51,10 @@ func TestInterStoreSliceRejectsRogue(t *testing.T) {
 	s := newInterStore()
 	s.setReducers(2)
 	s.put("wc#1", 0, []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 1, Partial: map[string]float64{"b": 2}},
+		{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
+		{ID: 1, Partial: pairsOf(map[string]float64{"b": 2})},
 	}, 2)
-	s.put("wc#1", 3, []partitionPartial{{ID: 1, Partial: map[string]float64{"c": 3}}}, 2)
+	s.put("wc#1", 3, []partitionPartial{{ID: 1, Partial: pairsOf(map[string]float64{"c": 3})}}, 2)
 
 	if _, err := s.slice("other#9", 0, []int{0}); err == nil {
 		t.Error("foreign run id accepted")
@@ -77,14 +77,14 @@ func TestInterStoreSliceRejectsRogue(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 3, Partial: nil},
+		{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
+		{ID: 3, Partial: pairs{}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("slice = %+v, want %+v", got, want)
 	}
 	// A new run evicts the old one.
-	s.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: map[string]float64{"z": 1}}}, 2)
+	s.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: pairsOf(map[string]float64{"z": 1})}}, 2)
 	if _, err := s.slice("wc#1", 0, []int{0}); err == nil {
 		t.Error("evicted run still served")
 	}
@@ -111,7 +111,7 @@ func TestDistributedReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("distributed-reduce result diverged from reference")
 	}
@@ -169,7 +169,7 @@ func TestDistributedReduce(t *testing.T) {
 // and the group-then-Reduce fold paths.
 func TestReduceMatchesReferenceAcrossConfigs(t *testing.T) {
 	lines := testLines(t, 400)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 
 	for _, r := range []int{1, 2, 4, 8} {
 		master, _ := startReduceCluster(t, MasterConfig{
@@ -205,8 +205,8 @@ func TestRogueFetchRejected(t *testing.T) {
 	t.Cleanup(w.Stop)
 	w.store.setReducers(2)
 	w.store.put("wc#1", 0, []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 1, Partial: map[string]float64{"b": 2}},
+		{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
+		{ID: 1, Partial: pairsOf(map[string]float64{"b": 2})},
 	}, 2)
 
 	if _, _, _, err := fetchPartition(addr, "wc#1", 99, []int{0}, defaultShuffleTimeout); err == nil {
@@ -246,7 +246,7 @@ func TestRogueFetchRejected(t *testing.T) {
 	if err != nil || reply.Type != "fetchresult" {
 		t.Fatalf("valid fetch after rogues got (%+v, %v), want fetchresult", reply, err)
 	}
-	want := []partitionPartial{{ID: 0, Partial: map[string]float64{"b": 2}}}
+	want := []partitionPartial{{ID: 0, Partial: pairsOf(map[string]float64{"b": 2})}}
 	if !reflect.DeepEqual(reply.Parts, want) {
 		t.Fatalf("fetchresult parts = %+v, want %+v", reply.Parts, want)
 	}
@@ -294,7 +294,7 @@ func TestRogueReduceErrorReassigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("result diverged from reference after rogue reducer eviction")
 	}
@@ -315,16 +315,16 @@ func reduceFrameSeeds() []message {
 				{Addr: "127.0.0.1:7001", Tasks: []int{0, 2}},
 				{Addr: "127.0.0.1:7002", Tasks: []int{1}},
 			},
-			Parts: []partitionPartial{{ID: 3, Partial: map[string]float64{"inline": 1}}}},
+			Parts: []partitionPartial{{ID: 3, Partial: pairsOf(map[string]float64{"inline": 1})}}},
 		{Type: "reducetask", Job: "", TaskID: -1, Run: "", Locs: []fetchLoc{{Addr: "", Tasks: nil}}},
 		{Type: "fetch", Run: "wc#1", TaskID: 0, Tasks: []int{0, 1, 2}},
 		{Type: "fetch", Run: "", TaskID: -9, Tasks: nil},
 		{Type: "fetchresult", TaskID: 0, Parts: []partitionPartial{
-			{ID: 0, Partial: map[string]float64{"a": 1.5}},
-			{ID: 2, Partial: nil},
+			{ID: 0, Partial: pairsOf(map[string]float64{"a": 1.5})},
+			{ID: 2, Partial: pairs{}},
 		}},
 		{Type: "mapdone", TaskID: 2, Attempt: 1, Run: "wc#1"},
-		{Type: "result", TaskID: 1, Attempt: 2, Partial: map[string]float64{"folded": 9}, Bytes: 1 << 40},
+		{Type: "result", TaskID: 1, Attempt: 2, Partial: pairsOf(map[string]float64{"folded": 9}), Bytes: 1 << 40},
 		{Type: "morelocs", Run: "wc#1", TaskID: 2, Locs: []fetchLoc{{Addr: "127.0.0.1:7001", Tasks: []int{4}}}},
 		{Type: "morelocs", Run: "wc#1", TaskID: 0, Message: "abort"},
 	}

@@ -322,7 +322,7 @@ func TestChaosGauntlet(t *testing.T) {
 	}
 
 	lines := testLines(t, 160)
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 
 	result, stats, err := master.Run(context.Background(), "wordcount", lines, 16)
 	if err != nil {

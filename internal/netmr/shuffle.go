@@ -23,9 +23,10 @@ import (
 //
 // The store is out-of-core: a configurable byte budget bounds how much
 // intermediate output stays resident, whole partition sets spilling to
-// per-run temp files (sorted by key, indexed by partition) when it is
-// exceeded, and each persisted set is replicated to one peer so a worker
-// lost after mapdone no longer loses its outputs.
+// per-run temp files (one section per partition, its pairs in the order
+// the map task emitted them) when it is exceeded, and each persisted set
+// is replicated to one peer so a worker lost after mapdone no longer
+// loses its outputs.
 
 // defaultShuffleTimeout bounds one fetch round-trip between workers
 // unless WorkerConfig/MasterConfig override it.
@@ -197,7 +198,7 @@ func (s *interStore) stats() (peak, spilled int64, runs int) {
 
 // slice answers one fetch: partition's slice of every requested map
 // task, as per-map-task partials (ID is the map task id; a task that
-// emitted no keys into the partition contributes a nil Partial, which
+// emitted no keys into the partition contributes an empty Partial, which
 // still acknowledges the task is held). Spilled tasks are read back
 // from their section on disk. A mismatched run, an out-of-range
 // partition or an unknown task id is a request the serving worker must
@@ -217,7 +218,7 @@ func (s *interStore) slice(run string, partition int, tasks []int) ([]partitionP
 		if !ok {
 			return nil, fmt.Errorf("map output for task %d is not held", task)
 		}
-		var m map[string]float64
+		var m pairs
 		if st.spill != nil {
 			sec, err := st.spill.section(partition)
 			if err != nil {
@@ -411,7 +412,7 @@ func replicateParts(addr, run string, task int, parts []partitionPartial, reduce
 // partition being assembled.
 type taskPartial struct {
 	task    int
-	partial map[string]float64
+	partial pairs
 }
 
 // fetchError names the peer whose fetch (or local read) failed, so the
@@ -558,7 +559,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	}
 	var inputs []taskPartial
 	covered := 0
-	gather := func(task int, partial map[string]float64) error {
+	gather := func(task int, partial pairs) error {
 		covered++
 		if folder != nil {
 			return folder.add(task, partial)
@@ -647,21 +648,21 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 		return true
 	}
 	workerShuffleBytes.Add(float64(fetched))
-	var out map[string]float64
-	merged := false
+	var out pairs
+	var merged bool
+	var foldErr error
 	if folder != nil {
-		var foldErr error
 		out, merged, foldErr = folder.fold(job)
-		if foldErr != nil {
-			workerTasks.With("fold_failed").Inc()
-			_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: foldErr.Error()}, to)
-			return true
-		}
 	} else {
 		// Deterministic fold order: ascending map task id, whatever order
 		// the inline partials and fetches arrived in.
 		sort.Slice(inputs, func(i, j int) bool { return inputs[i].task < inputs[j].task })
-		out = foldTaskPartials(job, inputs)
+		out, foldErr = foldTaskPartials(job, inputs)
+	}
+	if foldErr != nil {
+		workerTasks.With("fold_failed").Inc()
+		_ = c.send(message{Type: "error", TaskID: m.TaskID, Message: fmt.Sprintf("reduce partition %d: %v", m.TaskID, foldErr)}, to)
+		return true
 	}
 	if clock != nil {
 		if merged {
@@ -692,46 +693,23 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 	return c.send(res, to) == nil
 }
 
-// foldTaskPartials merges per-map-task partials of one partition into
-// its final key space: a streaming fold for jobs with a Combine, a
-// group-then-Reduce for the rest — the same semantics as the master's
-// serialMerge, executed worker-side.
-func foldTaskPartials(job Job, inputs []taskPartial) map[string]float64 {
-	size := 0
+// foldTaskPartials merges per-map-task partials of one partition, given
+// in ascending map-task order, into its final key space: a streaming
+// fold for jobs with a Combine, a group-then-Reduce for the rest — the
+// same semantics as the master's serialMerge, executed worker-side. The
+// result lists keys in first-seen order over those inputs. A key one
+// task's partial repeats fails the fold (errDuplicateKey) naming the
+// task, instead of folding the key's value in twice.
+func foldTaskPartials(job Job, inputs []taskPartial) (pairs, error) {
+	n := 0
 	for _, in := range inputs {
-		if len(in.partial) > size {
-			size = len(in.partial)
-		}
+		n += len(in.partial.Keys)
 	}
-	if job.Combine != nil {
-		out := make(map[string]float64, size)
-		for _, in := range inputs {
-			for k, v := range in.partial {
-				if acc, ok := out[k]; ok {
-					out[k] = job.Combine(acc, v)
-				} else {
-					out[k] = v
-				}
-			}
-		}
-		return out
-	}
-	merged := make(map[string]*[]float64, size)
+	f := newKeyFold(job, n)
 	for _, in := range inputs {
-		for k, v := range in.partial {
-			vs, ok := merged[k]
-			if !ok {
-				vs = valuesPool.Get().(*[]float64)
-				*vs = (*vs)[:0]
-				merged[k] = vs
-			}
-			*vs = append(*vs, v)
+		if err := f.add(in.partial); err != nil {
+			return pairs{}, fmt.Errorf("netmr: map task %d's partial repeats %w", in.task, err)
 		}
 	}
-	out := make(map[string]float64, len(merged))
-	for k, vs := range merged {
-		out[k] = job.Reduce(k, *vs)
-		valuesPool.Put(vs)
-	}
-	return out
+	return f.result(), nil
 }

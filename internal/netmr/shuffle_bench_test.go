@@ -26,9 +26,10 @@ func benchFetchWorker(b *testing.B, tasks, keysPerTask, R int) (addr, run string
 	for task := 0; task < tasks; task++ {
 		parts := make([]partitionPartial, 0, R)
 		for p := 0; p < R; p++ {
-			m := make(map[string]float64, keysPerTask)
+			m := pairs{Keys: make([]string, keysPerTask), Vals: make([]float64, keysPerTask)}
 			for k := 0; k < keysPerTask; k++ {
-				m[fmt.Sprintf("fetch-key-%02d-%04d", p, k)] = float64(task + k)
+				m.Keys[k] = fmt.Sprintf("fetch-key-%02d-%04d", p, k)
+				m.Vals[k] = float64(task + k)
 			}
 			parts = append(parts, partitionPartial{ID: p, Partial: m})
 		}

@@ -2,13 +2,16 @@ package netmr
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -21,24 +24,26 @@ import (
 // per key, values are folded in ascending map-task order either way.
 
 // partialMemBytes estimates the resident cost of one partition set: key
-// bytes + an 8-byte value + fixed per-entry map overhead. The estimate
-// only needs to be deterministic and monotone with real usage; the
-// budget is a watermark, not an allocator.
+// bytes + an 8-byte value + fixed per-entry overhead. The estimate only
+// needs to be deterministic and monotone with real usage; the budget is
+// a watermark, not an allocator.
 func partialMemBytes(parts []partitionPartial) int64 {
 	var n int64
 	for _, p := range parts {
-		for k := range p.Partial {
+		for _, k := range p.Partial.Keys {
 			n += int64(len(k)) + 8 + 16
 		}
-		n += 48 // map header + slice entry
+		n += 48 // partial header + slice entry
 	}
 	return n
 }
 
 // spillFile is one map task's partition set on disk: R sections in
-// partition order, each section the partition's keys sorted with their
-// values — LZ-compressed when that actually shrinks it. The offset index
-// stays in memory so a fetch reads exactly one section back.
+// partition order, each section the partition's pairs in the layout a
+// frame carries them (appendPairs), in the order the partial holds them —
+// LZ-compressed when that actually shrinks it. Sections are only ever
+// read back whole, so nothing needs them sorted. The offset index stays
+// in memory so a fetch reads exactly one section back.
 type spillFile struct {
 	f       *os.File
 	offsets []int64 // per partition: section start; -1 when the partition is empty
@@ -63,26 +68,12 @@ func writeSpillFile(dir string, task int, parts []partitionPartial, reducers int
 	}
 	w := bufio.NewWriter(f)
 	var off, saved int64
-	var keys []string
 	var sec, cbuf []byte
-	var scratch [8]byte
 	for _, part := range parts {
 		if part.ID < 0 || part.ID >= reducers {
 			continue // validated upstream; never index out of the section table
 		}
-		keys = keys[:0]
-		for k := range part.Partial {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sec = sec[:0]
-		sec = binary.AppendUvarint(sec, uint64(len(keys)))
-		for _, k := range keys {
-			sec = binary.AppendUvarint(sec, uint64(len(k)))
-			sec = append(sec, k...)
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(part.Partial[k]))
-			sec = append(sec, scratch[:]...)
-		}
+		sec = appendPairs(sec[:0], part.Partial)
 		payload := sec
 		if len(sec) >= lzCompressThreshold {
 			cbuf = lzCompress(cbuf[:0], sec)
@@ -110,42 +101,30 @@ func closeSpillErr(sf *spillFile, err error) error {
 	return fmt.Errorf("netmr: spill write: %w", err)
 }
 
-// section reads one partition's slice back (nil when the task emitted
-// nothing into it).
-func (sf *spillFile) section(partition int) (map[string]float64, error) {
+// section reads one partition's slice back (empty when the task emitted
+// nothing into it), in the order it was written.
+func (sf *spillFile) section(partition int) (pairs, error) {
 	if partition < 0 || partition >= len(sf.offsets) || sf.offsets[partition] < 0 {
-		return nil, nil
+		return pairs{}, nil
 	}
 	buf := make([]byte, sf.lengths[partition])
 	if _, err := sf.f.ReadAt(buf, sf.offsets[partition]); err != nil {
-		return nil, fmt.Errorf("netmr: spill read: %w", err)
+		return pairs{}, fmt.Errorf("netmr: spill read: %w", err)
 	}
 	if raw := sf.rawLens[partition]; raw > 0 {
 		dec, err := lzDecompress(make([]byte, 0, raw), buf, int(raw))
 		if err != nil {
-			return nil, fmt.Errorf("netmr: spill read: %w", err)
+			return pairs{}, fmt.Errorf("netmr: spill read: %w", err)
 		}
 		buf = dec
 	}
 	r := &frameReader{s: string(buf)}
-	nk, err := r.uvarint()
+	out, err := r.pairs()
 	if err != nil {
-		return nil, err
+		return pairs{}, fmt.Errorf("netmr: spill read: %w", err)
 	}
-	if nk == 0 {
-		return map[string]float64{}, nil
-	}
-	out := make(map[string]float64, nk)
-	for i := uint64(0); i < nk; i++ {
-		k, err := r.string()
-		if err != nil {
-			return nil, err
-		}
-		if len(r.s)-r.off < 8 {
-			return nil, fmt.Errorf("netmr: truncated spill value at byte %d", r.off)
-		}
-		out[k] = math.Float64frombits(u64at(r.s, r.off))
-		r.off += 8
+	if r.off != len(r.s) {
+		return pairs{}, fmt.Errorf("netmr: spill read: %d trailing bytes after section", len(r.s)-r.off)
 	}
 	return out, nil
 }
@@ -165,14 +144,14 @@ type spillTriple struct {
 	val  float64
 }
 
-// tripleLess orders triples by (key, ascending map task) — the exact
+// tripleCmp orders triples by (key, ascending map task) — the exact
 // fold order of the in-memory path, so a merged fold feeds each key its
 // values in the same sequence.
-func tripleLess(a, b spillTriple) bool {
-	if a.key != b.key {
-		return a.key < b.key
+func tripleCmp(a, b spillTriple) int {
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	return a.task < b.task
+	return cmp.Compare(a.task, b.task)
 }
 
 // tripleStream yields sorted triples — from a spilled run file or the
@@ -201,117 +180,102 @@ func (s *memTripleStream) next() (spillTriple, bool, error) {
 // compressor context, small enough to keep the read-back streaming.
 const spillBlockSize = 64 << 10
 
-// spillRunReader streams a block-framed run file back as its raw byte
-// sequence. Each block is flag(1B: 0 raw, 1 compressed) || uvarint(raw
-// length) || uvarint(payload length) || payload; blocks decompress one
-// at a time, so a merged fold never holds more than one block of any
-// run resident.
+// spillRunReader reads a block-framed run back one block at a time.
+// Each block is flag(1B: 0 raw, 1 compressed) || uvarint(raw length) ||
+// uvarint(payload length) || payload, and the writer closes a block only
+// between triples, so every block parses on its own and a merged fold
+// never holds more than one block of any run resident.
 type spillRunReader struct {
 	r   *bufio.Reader
-	blk []byte // current block, decompressed
-	pay []byte // payload scratch, reused across blocks
-	off int
+	buf *blockScratch // shared by every run of the fold
 }
 
-// fill loads the next block when the current one is drained. A clean
-// end-of-file between blocks is io.EOF; truncation inside a block is a
-// hard error.
-func (s *spillRunReader) fill() error {
-	for s.off >= len(s.blk) {
-		flag, err := s.r.ReadByte()
-		if err != nil {
-			return err // io.EOF: clean end of the run
-		}
-		rawLen, err := binary.ReadUvarint(s.r)
-		if err != nil {
-			return fmt.Errorf("netmr: spill run block header: %w", err)
-		}
-		payLen, err := binary.ReadUvarint(s.r)
-		if err != nil {
-			return fmt.Errorf("netmr: spill run block header: %w", err)
-		}
-		if cap(s.pay) < int(payLen) {
-			s.pay = make([]byte, payLen)
-		}
-		s.pay = s.pay[:payLen]
-		if _, err := io.ReadFull(s.r, s.pay); err != nil {
-			return fmt.Errorf("netmr: spill run block body: %w", err)
-		}
-		switch flag {
-		case 0:
-			if rawLen != payLen {
-				return fmt.Errorf("netmr: raw spill block length mismatch (%d != %d)", rawLen, payLen)
-			}
-			s.blk, s.pay = s.pay, s.blk
-		case 1:
-			blk, err := lzDecompress(s.blk[:0], s.pay, int(rawLen))
-			if err != nil {
-				return fmt.Errorf("netmr: spill run block: %w", err)
-			}
-			s.blk = blk
-		default:
-			return fmt.Errorf("netmr: spill run block flag %d", flag)
-		}
-		s.off = 0
+// blockScratch is the payload and decompression buffers a fold's runs
+// read their blocks through. One set serves them all: a block is copied
+// into a string as soon as it is read.
+type blockScratch struct {
+	blk []byte
+	pay []byte
+}
+
+// block returns the next block's raw bytes, valid until the next call.
+// A clean end-of-file between blocks is io.EOF; truncation inside a
+// block is a hard error.
+func (s *spillRunReader) block() ([]byte, error) {
+	flag, err := s.r.ReadByte()
+	if err != nil {
+		return nil, err // io.EOF: clean end of the run
 	}
-	return nil
-}
-
-func (s *spillRunReader) ReadByte() (byte, error) {
-	if err := s.fill(); err != nil {
-		return 0, err
+	rawLen, err := binary.ReadUvarint(s.r)
+	if err != nil {
+		return nil, fmt.Errorf("netmr: spill run block header: %w", err)
 	}
-	b := s.blk[s.off]
-	s.off++
-	return b, nil
-}
-
-func (s *spillRunReader) Read(p []byte) (int, error) {
-	if err := s.fill(); err != nil {
-		return 0, err
+	payLen, err := binary.ReadUvarint(s.r)
+	if err != nil {
+		return nil, fmt.Errorf("netmr: spill run block header: %w", err)
 	}
-	n := copy(p, s.blk[s.off:])
-	s.off += n
-	return n, nil
+	b := s.buf
+	if cap(b.pay) < int(payLen) {
+		b.pay = make([]byte, payLen)
+	}
+	b.pay = b.pay[:payLen]
+	if _, err := io.ReadFull(s.r, b.pay); err != nil {
+		return nil, fmt.Errorf("netmr: spill run block body: %w", err)
+	}
+	switch flag {
+	case 0:
+		if rawLen != payLen {
+			return nil, fmt.Errorf("netmr: raw spill block length mismatch (%d != %d)", rawLen, payLen)
+		}
+		return b.pay, nil
+	case 1:
+		if uint64(cap(b.blk)) < rawLen {
+			b.blk = make([]byte, 0, rawLen)
+		}
+		blk, err := lzDecompress(b.blk[:0], b.pay, int(rawLen))
+		if err != nil {
+			return nil, fmt.Errorf("netmr: spill run block: %w", err)
+		}
+		b.blk = blk
+		return blk, nil
+	default:
+		return nil, fmt.Errorf("netmr: spill run block flag %d", flag)
+	}
 }
 
-// fileTripleStream reads one spill run back sequentially.
+// fileTripleStream reads one spill run back sequentially. Each block
+// becomes one string its triples are sliced out of, so reading a triple
+// allocates nothing; the fold copies out only the keys it keeps.
 type fileTripleStream struct {
-	f *os.File
-	r *spillRunReader
+	r   *spillRunReader
+	blk frameReader // the current block
 }
 
 func (s *fileTripleStream) next() (spillTriple, bool, error) {
-	kl, err := binary.ReadUvarint(s.r)
-	if err == io.EOF {
-		return spillTriple{}, false, nil
+	if s.blk.off >= len(s.blk.s) {
+		raw, err := s.r.block()
+		if err == io.EOF {
+			return spillTriple{}, false, nil
+		}
+		if err != nil {
+			return spillTriple{}, false, err
+		}
+		s.blk = frameReader{s: string(raw)}
 	}
+	key, err := s.blk.string()
 	if err != nil {
 		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
 	}
-	kb := make([]byte, kl)
-	if _, err := io.ReadFull(s.r, kb); err != nil {
-		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
-	}
-	task, err := binary.ReadVarint(s.r)
+	task, err := s.blk.varint()
 	if err != nil {
 		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
 	}
-	var vb [8]byte
-	if _, err := io.ReadFull(s.r, vb[:]); err != nil {
-		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: %w", err)
+	if len(s.blk.s)-s.blk.off < 8 {
+		return spillTriple{}, false, fmt.Errorf("netmr: spill run read: truncated value at byte %d", s.blk.off)
 	}
-	return spillTriple{
-		key:  string(kb),
-		task: int(task),
-		val:  math.Float64frombits(binary.LittleEndian.Uint64(vb[:])),
-	}, true, nil
-}
-
-func (s *fileTripleStream) close() {
-	name := s.f.Name()
-	_ = s.f.Close()
-	_ = os.Remove(name)
+	val := math.Float64frombits(u64at(s.blk.s, s.blk.off))
+	s.blk.off += 8
+	return spillTriple{key: key, task: int(task), val: val}, true, nil
 }
 
 // loserTree is a k-way tournament merge over sorted triple streams:
@@ -377,7 +341,7 @@ func (lt *loserTree) less(a, b int) bool {
 	if !lt.alive[b] {
 		return true
 	}
-	return tripleLess(lt.heads[a], lt.heads[b])
+	return tripleCmp(lt.heads[a], lt.heads[b]) < 0
 }
 
 // next pops the smallest head across all streams; ok is false when every
@@ -406,16 +370,24 @@ func (lt *loserTree) next() (spillTriple, bool, error) {
 }
 
 // spillFolder buffers gathered task partials for one reduce task under a
-// byte budget, flushing sorted runs to dir when it is exceeded. fold
-// merges the runs and the in-memory remainder back into the partition's
-// final key space.
+// byte budget, flushing sorted runs when it is exceeded — all into one
+// file under dir, back to back, each run read back through its own
+// section of it. fold merges the runs and the in-memory remainder back
+// into the partition's final key space. After an error the folder is
+// unusable; discard still releases it.
 type spillFolder struct {
 	budget int64 // 0: never spill
 	dir    string
 
 	mem     int64
-	triples []spillTriple
+	inputs  []taskPartial // gathered partials not yet in a run
+	triples []spillTriple // flush scratch
+	blk     []byte        // flush scratch: the raw block being filled
+	cbuf    []byte        // flush scratch: the block compressed
+	file    *os.File      // every run, back to back; created by the first flush
+	end     int64         // bytes of runs in file
 	runs    []*fileTripleStream
+	read    blockScratch // the runs' shared read buffers
 
 	spillRuns    int
 	spilledBytes int64         // bytes that hit disk (post-compression)
@@ -429,30 +401,49 @@ func newSpillFolder(budget int64, dir string) *spillFolder {
 
 // add buffers one gathered task partial, spilling the buffer as a sorted
 // run when the budget is exceeded.
-func (f *spillFolder) add(task int, partial map[string]float64) error {
-	for k, v := range partial {
-		f.triples = append(f.triples, spillTriple{key: k, task: task, val: v})
+func (f *spillFolder) add(task int, partial pairs) error {
+	if len(partial.Keys) == 0 {
+		return nil
+	}
+	f.inputs = append(f.inputs, taskPartial{task: task, partial: partial})
+	for _, k := range partial.Keys {
 		f.mem += int64(len(k)) + 8 + 16
 	}
-	if f.budget > 0 && f.mem > f.budget && len(f.triples) > 0 {
+	if f.budget > 0 && f.mem > f.budget {
 		return f.flush()
 	}
 	return nil
 }
 
-// flush writes the buffered triples, sorted by (key, task), as one
-// block-compressed run file and empties the buffer.
+// sortTriples lays the buffered partials out as (key, task, value)
+// records in f.triples, sorted by (key, task).
+func (f *spillFolder) sortTriples() {
+	f.triples = f.triples[:0]
+	for _, in := range f.inputs {
+		for i, k := range in.partial.Keys {
+			f.triples = append(f.triples, spillTriple{key: k, task: in.task, val: in.partial.Vals[i]})
+		}
+	}
+	slices.SortFunc(f.triples, tripleCmp)
+}
+
+// flush appends the buffered partials, sorted by (key, task), to the
+// spill file as one block-compressed run and empties the buffer.
 func (f *spillFolder) flush() error {
 	flushStart := time.Now()
 	defer func() { f.flushDur += time.Since(flushStart) }()
-	sort.Slice(f.triples, func(i, j int) bool { return tripleLess(f.triples[i], f.triples[j]) })
-	file, err := os.CreateTemp(f.dir, "reduce-run-*.spill")
-	if err != nil {
-		return fmt.Errorf("netmr: spill run create: %w", err)
+	f.sortTriples()
+	if f.file == nil {
+		file, err := os.CreateTemp(f.dir, "reduce-runs-*.spill")
+		if err != nil {
+			return fmt.Errorf("netmr: spill run create: %w", err)
+		}
+		f.file = file
 	}
-	w := bufio.NewWriter(file)
+	w := bufio.NewWriter(f.file)
 	var scratch [8]byte
-	var blk, cbuf []byte
+	blk, cbuf := f.blk[:0], f.cbuf[:0]
+	defer func() { f.blk, f.cbuf = blk[:0], cbuf[:0] }()
 	var written, saved int64
 	// emit frames one raw block: compressed when that shrinks it, raw
 	// otherwise — the read path switches per block on the flag byte.
@@ -492,61 +483,49 @@ func (f *spillFolder) flush() error {
 		blk = append(blk, scratch[:]...)
 		if len(blk) >= spillBlockSize {
 			if err := emit(); err != nil {
-				return f.flushErr(file, err)
+				return fmt.Errorf("netmr: spill run write: %w", err)
 			}
 		}
 	}
 	if err := emit(); err != nil {
-		return f.flushErr(file, err)
+		return fmt.Errorf("netmr: spill run write: %w", err)
 	}
 	if err := w.Flush(); err != nil {
-		return f.flushErr(file, err)
+		return fmt.Errorf("netmr: spill run write: %w", err)
 	}
-	if _, err := file.Seek(0, io.SeekStart); err != nil {
-		return f.flushErr(file, err)
-	}
-	f.runs = append(f.runs, &fileTripleStream{f: file, r: &spillRunReader{r: bufio.NewReader(file)}})
+	run := io.NewSectionReader(f.file, f.end, written)
+	f.end += written
+	f.runs = append(f.runs, &fileTripleStream{r: &spillRunReader{r: bufio.NewReader(run), buf: &f.read}})
 	f.spillRuns++
 	f.spilledBytes += written
 	f.compSaved += saved
+	// Drop every reference into the flushed partials, so the frames they
+	// were decoded from can be collected: that memory is what spilling
+	// buys back.
+	clear(f.triples)
 	f.triples = f.triples[:0]
+	clear(f.inputs)
+	f.inputs = f.inputs[:0]
 	f.mem = 0
 	return nil
 }
 
-func (f *spillFolder) flushErr(file *os.File, err error) error {
-	name := file.Name()
-	_ = file.Close()
-	_ = os.Remove(name)
-	return fmt.Errorf("netmr: spill run write: %w", err)
-}
-
 // fold merges every spilled run and the in-memory remainder into the
-// final key space, streaming the per-key fold off the loser tree.
-// merged reports whether disk runs participated (the "mergeruns" span).
-// The runs' files are removed on return.
-func (f *spillFolder) fold(job Job) (out map[string]float64, merged bool, err error) {
+// final key space, streaming the per-key fold off the loser tree, whose
+// order — ascending key — the result keeps. merged reports whether disk
+// runs participated (the "mergeruns" span). A key one task's partial
+// repeats fails the fold (errDuplicateKey). The spill file is removed
+// on return.
+func (f *spillFolder) fold(job Job) (out pairs, merged bool, err error) {
 	defer f.discard()
 	if len(f.runs) == 0 {
-		// Pure in-memory path: regroup the triples per task and reuse the
-		// reference fold so both paths share one implementation.
-		byTask := map[int]map[string]float64{}
-		for _, t := range f.triples {
-			m := byTask[t.task]
-			if m == nil {
-				m = map[string]float64{}
-				byTask[t.task] = m
-			}
-			m[t.key] = t.val
-		}
-		inputs := make([]taskPartial, 0, len(byTask))
-		for task, m := range byTask {
-			inputs = append(inputs, taskPartial{task: task, partial: m})
-		}
-		sort.Slice(inputs, func(i, j int) bool { return inputs[i].task < inputs[j].task })
-		return foldTaskPartials(job, inputs), false, nil
+		// Pure in-memory path: the reference fold over the buffered
+		// partials, in ascending map-task order.
+		sort.SliceStable(f.inputs, func(i, j int) bool { return f.inputs[i].task < f.inputs[j].task })
+		out, err := foldTaskPartials(job, f.inputs)
+		return out, false, err
 	}
-	sort.Slice(f.triples, func(i, j int) bool { return tripleLess(f.triples[i], f.triples[j]) })
+	f.sortTriples()
 	streams := make([]tripleStream, 0, len(f.runs)+1)
 	for _, run := range f.runs {
 		streams = append(streams, run)
@@ -556,51 +535,59 @@ func (f *spillFolder) fold(job Job) (out map[string]float64, merged bool, err er
 	}
 	lt, err := newLoserTree(streams)
 	if err != nil {
-		return nil, true, err
+		return pairs{}, true, err
 	}
-	out = map[string]float64{}
-	var curKey string
+	var cur spillTriple
 	var curVals []float64
-	var have bool
 	finishKey := func() {
-		if !have {
+		if len(curVals) == 0 {
 			return
 		}
+		// A run's keys are slices of its block strings: copy the key out,
+		// so the result does not keep every block of every run alive.
+		out.Keys = append(out.Keys, strings.Clone(cur.key))
 		if job.Combine != nil {
 			acc := curVals[0]
 			for _, v := range curVals[1:] {
 				acc = job.Combine(acc, v)
 			}
-			out[curKey] = acc
+			out.Vals = append(out.Vals, acc)
 		} else {
-			out[curKey] = job.Reduce(curKey, curVals)
+			out.Vals = append(out.Vals, job.Reduce(cur.key, curVals))
 		}
 		curVals = curVals[:0]
 	}
 	for {
 		t, ok, err := lt.next()
 		if err != nil {
-			return nil, true, err
+			return pairs{}, true, err
 		}
 		if !ok {
 			break
 		}
-		if !have || t.key != curKey {
-			finishKey()
-			curKey, have = t.key, true
+		if len(curVals) > 0 && t.key == cur.key && t.task == cur.task {
+			return pairs{}, true, fmt.Errorf("netmr: map task %d's partial repeats key %q: %w", t.task, t.key, errDuplicateKey)
 		}
+		if len(curVals) == 0 || t.key != cur.key {
+			finishKey()
+		}
+		cur = t
 		curVals = append(curVals, t.val)
 	}
 	finishKey()
 	return out, true, nil
 }
 
-// discard releases every spilled run file and the buffer.
+// discard releases the spill file and the buffer.
 func (f *spillFolder) discard() {
-	for _, run := range f.runs {
-		run.close()
+	if f.file != nil {
+		name := f.file.Name()
+		_ = f.file.Close()
+		_ = os.Remove(name)
+		f.file = nil
 	}
 	f.runs = nil
+	f.inputs = nil
 	f.triples = nil
 	f.mem = 0
 }

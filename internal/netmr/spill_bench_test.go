@@ -11,9 +11,10 @@ import (
 func spillBenchInputs(tasks, keys int) []taskPartial {
 	inputs := make([]taskPartial, tasks)
 	for task := range inputs {
-		m := make(map[string]float64, keys)
+		m := pairs{Keys: make([]string, keys), Vals: make([]float64, keys)}
 		for k := 0; k < keys; k++ {
-			m[fmt.Sprintf("shuffle-key-%05d", k)] = float64(task + k)
+			m.Keys[k] = fmt.Sprintf("shuffle-key-%05d", k)
+			m.Vals[k] = float64(task + k)
 		}
 		inputs[task] = taskPartial{task: task, partial: m}
 	}
@@ -41,8 +42,8 @@ func benchmarkShuffleFold(b *testing.B, budget int64) {
 		if budget > 0 && budget < 1<<20 && !merged {
 			b.Fatal("constrained budget never spilled")
 		}
-		if len(out) != 4000 {
-			b.Fatalf("fold produced %d keys, want 4000", len(out))
+		if len(out.Keys) != 4000 {
+			b.Fatalf("fold produced %d keys, want 4000", len(out.Keys))
 		}
 	}
 }

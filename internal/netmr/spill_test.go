@@ -40,7 +40,7 @@ func randomTaskPartials(rng *rand.Rand, tasks, keys int, dist string) []taskPart
 			}
 			m[k] = float64(1 + rng.Intn(5))
 		}
-		inputs = append(inputs, taskPartial{task: task, partial: m})
+		inputs = append(inputs, taskPartial{task: task, partial: pairsOf(m)})
 	}
 	return inputs
 }
@@ -61,7 +61,11 @@ func TestSpillFoldMatchesInMemory(t *testing.T) {
 				ref := make([]taskPartial, len(inputs))
 				copy(ref, inputs)
 				sort.Slice(ref, func(i, j int) bool { return ref[i].task < ref[j].task })
-				want := foldTaskPartials(job, ref)
+				wantPairs, err := foldTaskPartials(job, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := mapOf(t, wantPairs)
 				for _, budget := range budgets {
 					f := newSpillFolder(budget, t.TempDir())
 					for _, in := range inputs {
@@ -73,7 +77,7 @@ func TestSpillFoldMatchesInMemory(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s budget=%d: fold: %v", dist, jobName, budget, err)
 					}
-					if !reflect.DeepEqual(got, want) {
+					if !reflect.DeepEqual(mapOf(t, got), want) {
 						t.Fatalf("%s/%s budget=%d (merged=%v): fold diverged from in-memory reference", dist, jobName, budget, merged)
 					}
 					if budget == 1 && !merged && f.spillRuns == 0 && len(want) > 0 {
@@ -99,7 +103,7 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 			for i := 0; i < 1+rng.Intn(30); i++ {
 				m[fmt.Sprintf("k%d-%d", p, rng.Intn(20))] = float64(rng.Intn(9))
 			}
-			parts = append(parts, partitionPartial{ID: p, Partial: m})
+			parts = append(parts, partitionPartial{ID: p, Partial: pairsOf(m)})
 		}
 		sets[task] = parts
 	}
@@ -133,14 +137,16 @@ func TestInterStoreSpillMatchesMemory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("budget=%d: slice(%d): %v", budget, p, err)
 			}
-			// A spilled empty section reads back as an empty map where the
-			// resident path keeps nil; both mean "held, no keys".
+			// A spilled empty section reads back as an empty partial where
+			// the resident path may keep empty non-nil slices; both mean
+			// "held, no keys". Everything else, key order included, must
+			// match.
 			for i := range got {
-				if len(got[i].Partial) == 0 {
-					got[i].Partial = nil
+				if len(got[i].Partial.Keys) == 0 {
+					got[i].Partial = pairs{}
 				}
-				if len(want[i].Partial) == 0 {
-					want[i].Partial = nil
+				if len(want[i].Partial.Keys) == 0 {
+					want[i].Partial = pairs{}
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -173,8 +179,8 @@ func TestEvictedRunReducersReset(t *testing.T) {
 	t.Cleanup(w.Stop)
 
 	parts4 := []partitionPartial{
-		{ID: 0, Partial: map[string]float64{"a": 1}},
-		{ID: 3, Partial: map[string]float64{"d": 4}},
+		{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
+		{ID: 3, Partial: pairsOf(map[string]float64{"d": 4})},
 	}
 	if _, _, _, err := w.store.put("wc#1", 0, parts4, 4); err != nil {
 		t.Fatal(err)
@@ -183,7 +189,7 @@ func TestEvictedRunReducersReset(t *testing.T) {
 		t.Fatalf("partition 3 under the 4-reducer run refused: %v", err)
 	}
 	// New run with a smaller reducer count evicts the old one wholesale.
-	if _, _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: map[string]float64{"z": 1}}}, 2); err != nil {
+	if _, _, _, err := w.store.put("wc#2", 0, []partitionPartial{{ID: 0, Partial: pairsOf(map[string]float64{"z": 1})}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := fetchPartition(addr, "wc#1", 0, []int{0}, defaultShuffleTimeout); err == nil {
@@ -239,7 +245,7 @@ func TestSpillCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("spill-budget cluster result diverged from reference")
 	}
@@ -300,7 +306,7 @@ func TestReplicaRecoveryAfterMapperLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runShard(wordCountJob(), lines, newShardScratch())
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("post-recovery result diverged from reference")
 	}

@@ -29,9 +29,9 @@ func TestSpillFileCompressionRoundTrip(t *testing.T) {
 	}
 	tiny := map[string]float64{"a": 1, "b": 2}
 	parts := []partitionPartial{
-		{ID: 0, Partial: compressible},
-		{ID: 1, Partial: incompressible},
-		{ID: 2, Partial: tiny},
+		{ID: 0, Partial: pairsOf(compressible)},
+		{ID: 1, Partial: pairsOf(incompressible)},
+		{ID: 2, Partial: pairsOf(tiny)},
 		// partition 3 absent: the task emitted nothing into it
 	}
 	sf, onDisk, saved, err := writeSpillFile(t.TempDir(), 0, parts, R)
@@ -76,8 +76,8 @@ func TestSpillFileCompressionRoundTrip(t *testing.T) {
 			t.Fatalf("section %d round trip diverged", want.ID)
 		}
 	}
-	if got, err := sf.section(3); err != nil || got != nil {
-		t.Fatalf("absent section = (%v, %v), want (nil, nil)", got, err)
+	if got, err := sf.section(3); err != nil || !reflect.DeepEqual(got, pairs{}) {
+		t.Fatalf("absent section = (%v, %v), want (empty, nil)", got, err)
 	}
 }
 
@@ -92,12 +92,15 @@ func TestSpillFolderCompressedRunsMatchMemory(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			m[fmt.Sprintf("gather-key-%04d", i)] = float64(task + i%3)
 		}
-		inputs[task] = taskPartial{task: task, partial: m}
+		inputs[task] = taskPartial{task: task, partial: pairsOf(m)}
 	}
 	ref := make([]taskPartial, len(inputs))
 	copy(ref, inputs)
 	sort.Slice(ref, func(i, j int) bool { return ref[i].task < ref[j].task })
-	want := foldTaskPartials(job, ref)
+	want, err := foldTaskPartials(job, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	f := newSpillFolder(1024, t.TempDir()) // tight budget: every add spills
 	for _, in := range inputs {
@@ -112,7 +115,7 @@ func TestSpillFolderCompressedRunsMatchMemory(t *testing.T) {
 	if !merged {
 		t.Fatal("tight budget never forced a merged fold")
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(mapOf(t, got), mapOf(t, want)) {
 		t.Fatal("compressed-run fold diverged from the in-memory reference")
 	}
 	if f.compSaved == 0 {

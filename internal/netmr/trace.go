@@ -144,6 +144,19 @@ func (t *JobTrace) closeLaunch(id int, outcome string, worker []spanSummary) {
 	}
 }
 
+// withReplyDecode appends the master's wire decode of a launch's reply
+// frame to the worker's spans as a "decode" sub-span at the launch's
+// end, so the deserialization the master pays on every result is
+// charged to Decode instead of vanishing into the RPC gap. A reply
+// without worker spans (an untraced worker) is left as it is: its whole
+// launch window stands in for compute.
+func withReplyDecode(worker []spanSummary, decode time.Duration) []spanSummary {
+	if len(worker) == 0 {
+		return worker
+	}
+	return appendSpanAfter(worker, spanDecode, decode)
+}
+
 // relabel rewrites a closed launch's outcome — the Run loop discovers a
 // result is a duplicate only after the dispatch goroutine closed it ok.
 func (t *JobTrace) relabel(id int, outcome string) {
@@ -331,7 +344,7 @@ type PhaseBreakdown struct {
 	TotalWall float64
 
 	// Wo attribution (worker-reported where available):
-	Decode    float64 // wire decode of task frames (winning launches)
+	Decode    float64 // wire decode of task frames and of their replies (winning launches)
 	Partition float64 // worker-side hash splitting (winning launches)
 	Encode    float64 // wire-shape result building (winning launches)
 	Fetch     float64 // reducer-side shuffle gathers (winning reduce launches)

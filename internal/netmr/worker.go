@@ -367,7 +367,7 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 		workerTasks.With("ok").Inc()
 		return c.send(message{Type: "presult", TaskID: taskID, Attempt: attempt, Parts: parts, Trace: trace, Spans: spans}, 30*time.Second) == nil
 	}
-	var partial map[string]float64
+	var partial pairs
 	var spans []spanSummary
 	if traced {
 		partial, spans = runShardTraced(job, records, w.scratch, decode)
