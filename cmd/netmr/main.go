@@ -9,8 +9,10 @@
 //
 // The master waits for the requested number of workers, generates the
 // dictionary-text working set, runs the job, and prints the result
-// summary with the split/merge wall-clock decomposition and a per-worker
-// breakdown (shards run, reassignments, cumulative busy time).
+// summary with the split/merge wall-clock decomposition (the master
+// folds each shard result as it arrives, so the merge wall is the tail
+// left after the split barrier) and a per-worker breakdown (shards run,
+// reassignments, cumulative busy time).
 //
 // With -metricsaddr the master also serves Prometheus /metrics and a
 // /healthz JSON endpoint for the duration of the run; -heartbeat enables
@@ -24,15 +26,10 @@
 // renders a dump offline. Workers trace every task whose frame carries
 // the job's trace ID, so tracing needs no worker-side flag.
 //
-// Merge knobs (master): -partitions sets the partitioned merge's width P
-// (0 = GOMAXPROCS) — arriving shard results are hash-split across P
-// folder goroutines while the map phase drains, and workers ship
-// results pre-split; -serialmerge restores the legacy
-// barrier-then-serial merge for before/after comparison; -reducers R
-// promotes the fold to a distributed phase — workers persist
-// partitioned map output, fetch each other's partitions and fold the R
-// partitions themselves, leaving the master only the union of R
-// disjoint key spaces.
+// Reduce knob (master): -reducers R promotes the fold to a distributed
+// phase — workers persist partitioned map output, fetch each other's
+// partitions and fold the R partitions themselves, leaving the master
+// only the union of R disjoint key spaces.
 //
 // Out-of-core shuffle knobs: -shuffle-timeout bounds one worker-to-worker
 // shuffle round-trip (on the master it is pushed cluster-wide via the
@@ -146,8 +143,6 @@ func run(args []string, out io.Writer) error {
 	retryJitter := fs.Float64("retryjitter", 0, "master: retry jitter fraction (0 = default 0.2, negative disables)")
 	retrySeed := fs.Int64("retryseed", 0, "master: deterministic jitter seed")
 	speculate := fs.Duration("speculate", 0, "master: straggler-check interval enabling speculative clones (0 = disabled)")
-	partitions := fs.Int("partitions", 0, "master: merge partition count P (0 = GOMAXPROCS, 1 = single partition)")
-	serialMerge := fs.Bool("serialmerge", false, "master: legacy barrier-then-serial merge (disables overlap and partitioning)")
 	reducers := fs.Int("reducers", 0, "master: distributed reduce tasks R run on workers (0 = merge on the master)")
 	shuffleTimeout := fs.Duration("shuffle-timeout", 0, "worker-to-worker shuffle round-trip bound (0 = default 30s; the master pushes its value cluster-wide)")
 	spillBudget := fs.Int64("spill-budget", 0, "worker: resident bytes of intermediate state before spilling to disk (0 = never spill)")
@@ -186,8 +181,7 @@ func run(args []string, out io.Writer) error {
 			maxAttempts: *maxAttempts,
 			retryBase:   *retryBase, retryMax: *retryMax,
 			retryJitter: *retryJitter, retrySeed: *retrySeed,
-			speculate:  *speculate,
-			partitions: *partitions, serialMerge: *serialMerge, reducers: *reducers,
+			speculate: *speculate, reducers: *reducers,
 			shuffleTimeout: *shuffleTimeout, earlyShuffle: *earlyShuffle,
 			chaos: injector,
 		})
@@ -256,8 +250,6 @@ type masterOptions struct {
 	retryJitter         float64
 	retrySeed           int64
 	speculate           time.Duration
-	partitions          int
-	serialMerge         bool
 	reducers            int
 	shuffleTimeout      time.Duration
 	earlyShuffle        bool
@@ -277,8 +269,6 @@ func runMaster(out io.Writer, opts masterOptions) error {
 		RetryJitter:         opts.retryJitter,
 		RetrySeed:           opts.retrySeed,
 		SpeculationInterval: opts.speculate,
-		Partitions:          opts.partitions,
-		SerialMerge:         opts.serialMerge,
 		Reducers:            opts.reducers,
 		ShuffleTimeout:      opts.shuffleTimeout,
 		EarlyShuffle:        opts.earlyShuffle,
@@ -405,8 +395,8 @@ func printStats(out io.Writer, stats netmr.Stats) {
 		fmt.Fprintf(out, "recovery: %d replica fetch(es), %d worker-local failover(s), recovery wall %v\n",
 			stats.ReplicaFetches, stats.Failovers, stats.RecoveryWall)
 	}
-	fmt.Fprintf(out, "split %v | merge %v (overlapped %v, %d partition(s), %d pre-partitioned) | total %v\n",
-		stats.SplitWall, stats.MergeWall, stats.MergeOverlapWall, stats.Partitions, stats.PrePartitioned, stats.TotalWall)
+	fmt.Fprintf(out, "split %v | merge tail %v | total %v\n",
+		stats.SplitWall, stats.MergeWall, stats.TotalWall)
 	for _, w := range stats.PerWorker {
 		fmt.Fprintf(out, "worker %s: shards %d, reassignments %d, busy %v\n", w.ID, w.ShardsRun, w.Reassignments, w.Busy)
 	}

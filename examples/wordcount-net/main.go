@@ -1,7 +1,7 @@
 // WordCount (distributed): run the REAL TCP master/worker MapReduce
 // runtime on localhost — scatter dictionary text across network workers,
-// barrier-synchronize, merge serially at the master — and read the IPSO
-// phase decomposition off actual wall clocks.
+// fold each result at the master as it arrives, barrier-synchronize —
+// and read the IPSO phase decomposition off actual wall clocks.
 //
 // Run with: go run ./examples/wordcount-net
 package main
@@ -85,12 +85,12 @@ func main() {
 	fmt.Printf("counted %.0f words, %d distinct keys (dictionary size %d)\n",
 		totalWords, len(counts), workload.DictionarySize)
 	fmt.Printf("split phase (scatter + parallel map):  %v\n", stats.SplitWall)
-	fmt.Printf("merge window (%d partitions, at the master): %v, of which %v ran under the map phase\n",
-		stats.Partitions, stats.MergeWall, stats.MergeOverlapWall)
+	fmt.Printf("merge tail after the barrier (at the master): %v\n", stats.MergeWall)
 	fmt.Printf("end-to-end wall:                       %v\n", stats.TotalWall)
 	fmt.Printf("reassignments after failures:          %d\n", stats.Reassignments)
 	fmt.Println("\nthe split/merge wall clocks are the Wp/Ws measurements the IPSO")
 	fmt.Println("estimator consumes — here from a real network execution. The")
-	fmt.Println("partitioned, map-overlapped merge shrinks the serial Ws portion")
-	fmt.Println("that otherwise grows with the distinct-key count.")
+	fmt.Println("master folds each shard result as it arrives, under the map")
+	fmt.Println("phase, so the serial Ws left after the barrier is building the")
+	fmt.Println("output from the folded key space.")
 }

@@ -277,7 +277,7 @@ func runTracedWordCount(ctx context.Context, input []string, workers, shards int
 		return netmr.PhaseBreakdown{}, err
 	}
 	master, err := netmr.NewMaster(registry, netmr.MasterConfig{
-		MaxTaskBatch: 4, Partitions: 4, Trace: true, Metrics: obs.NewRegistry(),
+		MaxTaskBatch: 4, Trace: true, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		return netmr.PhaseBreakdown{}, err

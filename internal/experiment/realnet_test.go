@@ -12,7 +12,7 @@ func TestRealNetSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Tables) != 2 || len(rep.Tables[0].Rows) != 2 || len(rep.Tables[1].Rows) != 2 {
+	if len(rep.Tables) != 1 || len(rep.Tables[0].Rows) != 2 {
 		t.Fatalf("unexpected report shape %+v", rep.Tables)
 	}
 	s := seriesByName(t, rep, "realnet/wordcount")
@@ -24,14 +24,12 @@ func TestRealNetSmoke(t *testing.T) {
 			t.Errorf("nonpositive measured speedup %g", v)
 		}
 	}
-	// The merge comparison measures both configurations; the fitted
-	// ε(n) notes need at least two positive samples per side.
-	for _, name := range []string{"realnet/merge-serial-ms", "realnet/merge-tail-ms"} {
-		ms := seriesByName(t, rep, name)
-		for _, v := range ms.Y {
-			if v <= 0 {
-				t.Errorf("%s has nonpositive sample %g", name, v)
-			}
+	// The fitted ε(n) note needs at least two positive merge tail
+	// samples.
+	ms := seriesByName(t, rep, "realnet/merge-tail-ms")
+	for _, v := range ms.Y {
+		if v <= 0 {
+			t.Errorf("realnet/merge-tail-ms has nonpositive sample %g", v)
 		}
 	}
 	if len(rep.Notes) == 0 {

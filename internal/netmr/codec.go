@@ -31,7 +31,7 @@ import (
 // bytes still decode (the receiver ignores them). The CRC-32C keeps single-bit wire
 // corruption detectable. It is computed over the raw body before
 // compression, so it guards the decompressed payload end to end. Only
-// bulk payload frames (result/presult/fetchresult/replicate) at or
+// bulk payload frames (result/fetchresult/replicate) at or
 // above lzCompressThreshold are compressed, and only when the
 // compressed form is actually smaller.
 const maxFrameBytes = 1 << 26 // 64 MiB hard cap: larger prefixes are corruption
@@ -54,7 +54,6 @@ var frameTypes = map[string]byte{
 	"ping":        6,
 	"pong":        7,
 	"taskbatch":   8,
-	"presult":     9,
 	"reducetask":  10,
 	"fetch":       11,
 	"fetchresult": 12,
@@ -68,7 +67,6 @@ var frameTypes = map[string]byte{
 // may compress; control frames always travel stored.
 var compressibleFrames = map[string]bool{
 	"result":      true,
-	"presult":     true,
 	"fetchresult": true,
 	"replicate":   true,
 }
@@ -158,7 +156,6 @@ func appendFrame(dst []byte, m *message) ([]byte, error) {
 		b = binary.AppendVarint(b, int64(spec.Attempt))
 		b = appendStrings(b, spec.Records)
 	}
-	b = binary.AppendVarint(b, int64(m.Partitions))
 	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
 	for _, part := range m.Parts {
 		b = binary.AppendVarint(b, int64(part.ID))
@@ -349,8 +346,8 @@ func (r *frameReader) strings(dst []string) ([]string, error) {
 
 // pairs decodes one key/IEEE-754 pair list into two slices sized by its
 // count (nil when empty), keeping the wire's key order — the Partial
-// field's wire shape, shared with every partition of a presult frame and
-// with spill sections. Freshly allocated because results outlive the
+// field's wire shape, shared with every entry of a Parts list and with
+// spill sections. Freshly allocated because results outlive the
 // next recv on the master. A key the list repeats is kept twice: the
 // folds that consume partials reject it by name.
 func (r *frameReader) pairs() (pairs, error) {
@@ -536,10 +533,6 @@ func decodeFrame(body []byte, m *message) error {
 		}
 		m.Batch = batch
 	}
-	if v, err = r.varint(); err != nil {
-		return err
-	}
-	m.Partitions = int(v)
 	nparts, err := r.uvarint()
 	if err != nil {
 		return err

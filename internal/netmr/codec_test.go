@@ -24,7 +24,7 @@ func codecMessages() []message {
 		{Type: "pong"},
 		{Type: "hello", ID: "127.0.0.1:5555", Jobs: []string{"a", "b"}, Version: protocolVersion},
 		{Type: "helloack"},
-		{Type: "helloack", Partitions: 8},
+		{Type: "helloack", Reducers: 8},
 		{Type: "task", Job: "wordcount", TaskID: 3, Attempt: 1, Records: []string{"the quick", "brown fox", ""}},
 		{Type: "task", Job: "", TaskID: -7, Attempt: 0, Records: []string{strings.Repeat("x", 4096)}},
 		{Type: "result", TaskID: 12, Attempt: 2, Partial: pairsOf(map[string]float64{
@@ -36,11 +36,11 @@ func codecMessages() []message {
 			{Job: "wc", TaskID: 5, Attempt: 2, Records: nil},
 			{Job: "other", TaskID: -1, Records: []string{"a", "b", "c"}},
 		}},
-		{Type: "presult", TaskID: 7, Attempt: 1, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: 7, Attempt: 1, Run: "wc#1", Parts: []partitionPartial{
 			{ID: 0, Partial: pairsOf(map[string]float64{"alpha": 2, "": -1})},
 			{ID: 3, Partial: pairsOf(map[string]float64{"πκλ": 1e-300})},
 		}},
-		{Type: "presult", TaskID: -2, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: -2, Parts: []partitionPartial{
 			{ID: 1, Partial: pairs{}},
 		}},
 		{Type: "task", Job: "wc", TaskID: 1, Records: []string{"traced"}, Trace: "wc-3"},
@@ -49,7 +49,7 @@ func codecMessages() []message {
 			{Phase: "map", Start: 0.001, End: 0.25},
 			{Phase: "", Start: -1.5, End: math.MaxFloat64},
 		}},
-		{Type: "presult", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: 7, Trace: "", Spans: []spanSummary{{Phase: "encode", Start: 1, End: 1}}, Parts: []partitionPartial{
 			{ID: 0, Partial: pairsOf(map[string]float64{"a": 1})},
 		}},
 		{Type: "hello", ID: "127.0.0.1:5556", Jobs: []string{"wc"}, Version: -1, Fetch: "127.0.0.1:7001"},
@@ -259,8 +259,8 @@ type fuzzSeedGroup struct {
 }
 
 // fuzzSeedGroups are the wire bodies the decode fuzz targets start from:
-// every codecMessages frame, then the reduce, presult, span and
-// compression shapes — each valid, truncated and bit-flipped.
+// every codecMessages frame, then the reduce, inline-parts mapdone, span
+// and compression shapes — each valid, truncated and bit-flipped.
 func fuzzSeedGroups(t testing.TB) []fuzzSeedGroup {
 	half := func(n int) int { return n / 2 }
 	twoThirds := func(n int) int { return n * 2 / 3 }
@@ -274,21 +274,21 @@ func fuzzSeedGroups(t testing.TB) []fuzzSeedGroup {
 		}
 		return g
 	}
-	var presults, spans []message
+	var inlineParts, spans []message
 	for _, m := range codecMessages() {
 		switch {
 		case m.Trace != "" || len(m.Spans) > 0:
 			spans = append(spans, m)
-		case m.Type == "presult":
-			presults = append(presults, m)
+		case m.Type == "mapdone" && len(m.Parts) > 0:
+			inlineParts = append(inlineParts, m)
 		}
 	}
-	presults = append(presults, presultFrameSeeds()...)
+	inlineParts = append(inlineParts, inlinePartsFrameSeeds()...)
 	spans = append(spans, spanFrameSeeds()...)
 	return []fuzzSeedGroup{
 		group("FuzzDecodeFrame", codecMessages(), half),
 		group("FuzzDecodeReduceFrame", reduceFrameSeeds(), twoThirds),
-		group("FuzzDecodePartitionedResult", presults, twoThirds),
+		group("FuzzDecodePartitionedResult", inlineParts, twoThirds),
 		group("FuzzDecodeSpanSummary", spans, twoThirds),
 		group("FuzzDecodeCompressedFrame", compFrameSeeds(), half),
 	}
@@ -370,7 +370,7 @@ func FuzzDecodeFrame(f *testing.F) {
 func FuzzDecodeReduceFrame(f *testing.F) { fuzzReceivePath(f, "FuzzDecodeReduceFrame") }
 
 // FuzzDecodePartitionedResult runs the receive-path property from the
-// presult shapes.
+// partition-split shapes: mapdone frames carrying a map output inline.
 func FuzzDecodePartitionedResult(f *testing.F) {
 	fuzzReceivePath(f, "FuzzDecodePartitionedResult")
 }

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,29 +64,14 @@ type MasterConfig struct {
 	// SpeculationMaxClones bounds the clones per shard (default 1).
 	SpeculationMaxClones int
 
-	// Partitions is the merge partition count P: arriving shard results
-	// are hash-split into P key ranges, each folded by its own goroutine
-	// while the map phase drains and finalized in parallel. Workers are
-	// told P in the helloack and ship results pre-split, moving the
-	// hashing off the master entirely.
-	// Zero defaults to GOMAXPROCS; 1 keeps the merge single-partition
-	// (still map-overlapped).
-	Partitions int
-	// SerialMerge restores the pre-partitioning merge: wait at the split
-	// barrier, then fold every partial through one goroutine. It exists
-	// to measure exactly what the overlapped merge buys (benchmarks diff
-	// the two) and as a conservative fallback. It also disables the
-	// distributed reduce phase (Reducers).
-	SerialMerge bool
-
 	// Reducers, when positive, promotes reduce to a distributed phase
-	// with R = Reducers reduce tasks: workers persist their partitioned
-	// map output locally and answer with a mapdone, the master assigns
-	// the R partitions back to the workers as reduce tasks (scheduled
-	// through the same retry/backoff/speculation loop as map shards),
-	// and intermediate data flows worker→worker over fetch frames. It
-	// forces Partitions = Reducers (the two phases must agree on the key
-	// hash space). Zero (the default) keeps the reduce on the master.
+	// with R = Reducers reduce tasks: workers persist their map output
+	// locally, split by key hash into R partitions, and answer with a
+	// mapdone, the master assigns the R partitions back to the workers
+	// as reduce tasks (scheduled through the same retry/backoff/
+	// speculation loop as map shards), and intermediate data flows
+	// worker→worker over fetch frames. Zero (the default) keeps the
+	// reduce on the master, which folds each shard result as it arrives.
 	Reducers int
 
 	// ShuffleTimeout bounds one worker-to-worker shuffle round-trip — a
@@ -172,20 +155,8 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	if c.ShuffleTimeout <= 0 {
 		c.ShuffleTimeout = defaultShuffleTimeout
 	}
-	if c.Partitions <= 0 {
-		c.Partitions = runtime.GOMAXPROCS(0)
-	}
-	if c.SerialMerge {
-		c.Partitions = 1
-		c.Reducers = 0
-	}
 	if c.Reducers < 0 {
 		c.Reducers = 0
-	}
-	if c.Reducers > 0 {
-		// The reduce partition space is the merge partition space: workers
-		// pre-split by it either way.
-		c.Partitions = c.Reducers
 	}
 	return c
 }
@@ -248,32 +219,27 @@ type WorkerStats struct {
 // — plus the resilience ledger: how often the run had to retry, clone,
 // or discard work to finish.
 //
-// Since the merge overlaps the map phase, SplitWall + MergeWall double
-// counts the overlapped fold time: TotalWall is measured end to end and
-// satisfies TotalWall <= SplitWall + MergeWall, with the difference
-// (MergeOverlapWall) being the merge work actually performed before the
-// barrier — folder busy time, not the mostly-idle wall window since the
-// first feed. The merge's critical-path contribution beyond the barrier
-// is MergeWall - MergeOverlapWall.
+// The master folds each shard result as it arrives, so that fold time
+// lies inside SplitWall; MergeWall is only the tail after the split
+// barrier (finishing the fold and building the output map). When the
+// master folds, TotalWall = SplitWall + MergeWall; with a distributed
+// reduce, ReduceWall lies between the two.
 type Stats struct {
-	Workers          int           // workers used at job start
-	Shards           int           // split-phase tasks
-	Partitions       int           // merge partitions (folder goroutines)
-	Completed        int           // shards that delivered a result
-	PrePartitioned   int           // winning results that arrived pre-split by a worker
-	Reassignments    int           // tasks requeued (with backoff) after a launch failure
-	Speculations     int           // speculative clones launched for stragglers
-	SpecWins         int           // tasks won by a speculative clone
-	Duplicates       int           // late sibling results discarded after completion
-	Cancellations    int           // in-flight launches abandoned at exit or cancellation
-	SplitWall        time.Duration // scatter + parallel map (barrier to barrier)
-	MergeWall        time.Duration // merge work wall: overlapped fold time + post-barrier tail
-	MergeOverlapWall time.Duration // fold time spent before the barrier, hidden under the map wave
-	TotalWall        time.Duration // end-to-end wall, measured (not derived)
-	PerWorker        []WorkerStats // per-worker breakdown, sorted by ID
+	Workers       int           // workers used at job start
+	Shards        int           // split-phase tasks
+	Completed     int           // shards that delivered a result
+	Reassignments int           // tasks requeued (with backoff) after a launch failure
+	Speculations  int           // speculative clones launched for stragglers
+	SpecWins      int           // tasks won by a speculative clone
+	Duplicates    int           // late sibling results discarded after completion
+	Cancellations int           // in-flight launches abandoned at exit or cancellation
+	SplitWall     time.Duration // scatter + parallel map (barrier to barrier)
+	MergeWall     time.Duration // merge tail after the barrier (or after the reduce phase)
+	TotalWall     time.Duration // end-to-end wall, measured (not derived)
+	PerWorker     []WorkerStats // per-worker breakdown, sorted by ID
 
 	// Distributed-reduce accounts, all zero when the run merged on the
-	// master (Reducers unset or SerialMerge).
+	// master (Reducers unset).
 	Reducers         int           // reduce tasks the run distributed (R)
 	ReduceTasks      int           // reduce tasks that delivered a partition result
 	MapOutputsStored int           // winning map outputs persisted worker-side for peer fetches
@@ -494,8 +460,7 @@ func (m *Master) admit(raw net.Conn) {
 		_ = c.close()
 		return
 	}
-	ack := message{Type: "helloack", Partitions: m.cfg.Partitions, Reducers: m.cfg.Reducers,
-		ShuffleMs: m.cfg.ShuffleTimeout.Milliseconds()}
+	ack := message{Type: "helloack", Reducers: m.cfg.Reducers, ShuffleMs: m.cfg.ShuffleTimeout.Milliseconds()}
 	if err := c.send(ack, 10*time.Second); err != nil {
 		_ = c.close()
 		return
@@ -666,17 +631,15 @@ func (l *perWorkerLedger) snapshot() []WorkerStats {
 }
 
 // launchDone is a successful launch's report back to the Run loop: a
-// flat partial (result frame), a worker-partitioned one (presult —
-// recorded in prepart, since the frame type is the ledger's ground
-// truth for who actually pre-split), or a persisted one (mapdone — the
-// payload stayed on the worker, whose shuffle address rides along). The
+// flat partial (result frame) or a persisted one (mapdone — the payload
+// stayed on the worker, whose shuffle address rides along, with parts
+// holding the master's copy when the mapper had no replica peer). The
 // reduce phase reuses the same struct for its partition results, with
 // bytes carrying the shuffle volume the reducer reported.
 type launchDone struct {
 	task      shardTask
 	partial   pairs
 	parts     []partitionPartial
-	prepart   bool
 	stored    bool
 	fetchAddr string
 	repAddr   string // peer holding the replica of a stored output ("" = none)
@@ -712,11 +675,13 @@ type launchFail struct {
 	err  error
 }
 
-// Run scatters records into shards across the connected workers, waits
-// for the barrier, merges the partials serially, and returns the reduced
-// result with the phase timings. Reduce must be associative and
-// commutative over its values (it is applied both as the workers'
-// map-side combiner and as the master's merge).
+// Run scatters records into shards across the connected workers, folds
+// each shard's partial into one key space as it arrives, finishes the
+// fold at the barrier, and returns the reduced result with the phase
+// timings. Reduce must be associative and commutative over its values
+// (it is applied both as the workers' map-side combiner and as the
+// master's merge). With Reducers set, the fold runs instead as R reduce
+// tasks on the workers and the master unions their disjoint results.
 //
 // Failure handling: a launch that errors or times out is requeued with
 // capped exponential backoff and deterministic jitter, up to MaxAttempts
@@ -764,7 +729,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	if m.ln == nil {
 		return nil, Stats{}, errors.New("netmr: master is not listening")
 	}
-	stats = Stats{Workers: m.WorkerCount(), Shards: shards, Partitions: m.cfg.Partitions}
+	stats = Stats{Workers: m.WorkerCount(), Shards: shards}
 	if stats.Workers == 0 {
 		return nil, Stats{}, errors.New("netmr: no workers connected")
 	}
@@ -773,20 +738,6 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 
 	useReduce := m.cfg.Reducers > 0
 	runID := fmt.Sprintf("%s#%d", jobName, m.runSeq.Add(1))
-	var mapLocs map[int]string // map task id → winning worker's shuffle address
-	// Replica bookkeeping: where each stored map output's peer copy lives
-	// (replicaLocs), and the master-held copies of outputs whose mapper
-	// could not replicate — no eligible peer, or the push failed — which
-	// rode inline on the mapdone frame (replicaParts). The reduce phase
-	// consults both before resorting to map re-execution lineage.
-	var replicaLocs map[int]string
-	var replicaParts map[int][]partitionPartial
-	if useReduce {
-		stats.Reducers = m.cfg.Reducers
-		mapLocs = make(map[int]string, shards)
-		replicaLocs = make(map[int]string, shards)
-		replicaParts = make(map[int][]partitionPartial)
-	}
 
 	// The job trace opens a launch span at every dispatch and is sealed
 	// on every exit path, so no retry, speculation or cancellation
@@ -807,8 +758,21 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 		hi := len(records) * (id + 1) / shards
 		return records[lo:hi]
 	}
+	// One fetch planner routes every reduce dispatch, early or after the
+	// barrier, over the map outputs stored so far.
+	var plan *reducePlan
+	if useReduce {
+		stats.Reducers = m.cfg.Reducers
+		plan = &reducePlan{
+			m: m, stats: &stats, jobName: jobName, job: job, runID: runID,
+			mapLocs:      make(map[int]string, shards),
+			replicaLocs:  make(map[int]string, shards),
+			replicaParts: make(map[int][]partitionPartial),
+			shardRecords: shardRecords,
+		}
+	}
 
-	// Split phase: scatter shards, collect partials at the barrier.
+	// Split phase: scatter shards, fold partials as they arrive.
 	queue := make([]shardTask, 0, shards)
 	for i := 0; i < shards; i++ {
 		queue = append(queue, shardTask{id: i, records: shardRecords(i)})
@@ -879,7 +843,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 				// the floor by the fold that does not expect it.
 				okType := reply.Type == "mapdone"
 				if run == "" {
-					okType = reply.Type == "result" || reply.Type == "presult"
+					okType = reply.Type == "result"
 				}
 				if !okType || reply.TaskID != t.id {
 					err = fmt.Errorf("netmr: worker %s answered shard %d with %q (task %d)", w.id, t.id, reply.Type, reply.TaskID)
@@ -887,15 +851,14 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			}
 			if err == nil {
 				if reply.Type == "result" {
-					// A flat result must not smuggle a partition payload
-					// past validateParts — the merge router indexes part
-					// ids, so an unvalidated one would panic it.
+					// A flat result carries no partition payload; one it
+					// smuggles is dropped rather than held unvalidated.
 					reply.Parts = nil
 				} else {
-					// A presult carries its partitions; a mapdone may carry
-					// the master-held replica of an output whose mapper had
-					// no peer to replicate to. Both are indexed by part id.
-					err = validateParts(reply.Parts, m.cfg.Partitions)
+					// A mapdone may carry the master-held replica of an
+					// output whose mapper had no peer to replicate to,
+					// indexed by reduce partition id.
+					err = validateParts(reply.Parts, m.cfg.Reducers)
 				}
 			}
 			if err != nil {
@@ -911,8 +874,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 			}
 			resultCh <- launchDone{
 				task: t, partial: reply.Partial, parts: reply.Parts,
-				prepart: reply.Type == "presult",
-				stored:  reply.Type == "mapdone", fetchAddr: w.fetch,
+				stored: reply.Type == "mapdone", fetchAddr: w.fetch,
 				repAddr: reply.Rep, spills: reply.Spills, spilled: reply.Spilled,
 				compBytes: reply.CompBytes,
 				elapsed:   elapsed, launch: launchOf(acked),
@@ -958,7 +920,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 		// still need workers, and launching with zero known outputs
 		// would buy nothing over waiting for the next mapdone.
 		return !earlyDisabled && len(earlyLaunched) < m.cfg.Reducers &&
-			len(queue) == 0 && len(mapLocs) > 0
+			len(queue) == 0 && len(plan.mapLocs) > 0
 	}
 	flushSkipped := func() {
 		for _, w := range earlySkipped {
@@ -1007,69 +969,6 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	// launch goroutines report into buffered channels nobody drains —
 	// sized for that — and hand their workers back to the pool.
 	defer closeEarly(true)
-
-	// buildEarly snapshots partition p's gather plan at launch time:
-	// locations for stored outputs (rerouted when a primary is already
-	// gone), replica addresses for worker-local failover, and explicit
-	// inline entries for master-held copies — empty Partial markers
-	// included for tasks that emitted nothing into p, so the reducer's
-	// coverage count can reach Total. An output that would
-	// need lineage re-execution returns !ok: pre-barrier recovery is not
-	// worth the re-run, the barrier path handles it.
-	buildEarly := func(p int) (locs []fetchLoc, parts []partitionPartial, reps []fetchLoc, ok bool) {
-		stored := make([]int, 0, len(mapLocs))
-		for t := range mapLocs {
-			stored = append(stored, t)
-		}
-		sort.Ints(stored)
-		byAddr := map[string][]int{}
-		repBy := map[string][]int{}
-		var addrs, repAddrs []string
-		for _, task := range stored {
-			addr := mapLocs[task]
-			if m.addrAlive(addr) {
-				if _, seen := byAddr[addr]; !seen {
-					addrs = append(addrs, addr)
-				}
-				byAddr[addr] = append(byAddr[addr], task)
-				if rep, okr := replicaLocs[task]; okr && m.addrAlive(rep) {
-					if _, seen := repBy[rep]; !seen {
-						repAddrs = append(repAddrs, rep)
-					}
-					repBy[rep] = append(repBy[rep], task)
-				}
-				continue
-			}
-			if rep, okr := replicaLocs[task]; okr && m.addrAlive(rep) {
-				stats.ReplicaFetches++
-				m.metrics.replicaFetches.Inc()
-				if _, seen := byAddr[rep]; !seen {
-					addrs = append(addrs, rep)
-				}
-				byAddr[rep] = append(byAddr[rep], task)
-				continue
-			}
-			mp, okp := replicaParts[task]
-			if !okp {
-				return nil, nil, nil, false
-			}
-			var slice pairs
-			for _, pp := range mp {
-				if pp.ID == p {
-					slice = pp.Partial
-					break
-				}
-			}
-			parts = append(parts, partitionPartial{ID: task, Partial: slice})
-		}
-		for _, addr := range addrs {
-			locs = append(locs, fetchLoc{Addr: addr, Tasks: byAddr[addr]})
-		}
-		for _, addr := range repAddrs {
-			reps = append(reps, fetchLoc{Addr: addr, Tasks: repBy[addr]})
-		}
-		return locs, parts, reps, true
-	}
 
 	// dispatchEarly runs one early launch end to end on its own
 	// goroutine: send the snapshot reducetask, forward streamed morelocs
@@ -1155,21 +1054,12 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	var completedLat []float64 // winning-launch latencies, speculation reference
 	pending := shards
 
-	// The merge runs as P partition folders fed while the map phase
-	// drains; SerialMerge instead buffers partials for the legacy
-	// barrier-then-merge pass; a distributed reduce replaces the engine
-	// entirely (map outputs stay on workers). The deferred shutdown covers every error return so an
-	// abandoned job never leaks folder goroutines.
-	var eng *mergeEngine
-	var partials []pairs
-	switch {
-	case useReduce:
-		// No master-side fold: the reduce phase after the barrier does it.
-	case m.cfg.SerialMerge:
-		partials = make([]pairs, 0, shards)
-	default:
-		eng = newMergeEngine(job, m.cfg.Partitions, shards)
-		defer eng.shutdown()
+	// The master folds each winning result into one key space as it
+	// arrives, under the map phase; a distributed reduce folds on the
+	// workers instead (map outputs stay there).
+	var fold *keyFold
+	if !useReduce {
+		fold = newKeyFold(job, 0)
 	}
 
 	liveLaunches := func() int {
@@ -1268,7 +1158,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 					earlySkipped = append(earlySkipped, w)
 					continue
 				}
-				locs, iparts, reps, ok := buildEarly(p)
+				locs, iparts, reps, ok := plan.route(p, false)
 				if !ok {
 					// An intermediate would need lineage re-execution;
 					// leave recovery to the barrier path and stop early
@@ -1357,11 +1247,11 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 				// and where the durable copy lives: a peer replica when the
 				// push succeeded, the inline partition set on the master
 				// otherwise.
-				mapLocs[r.task.id] = r.fetchAddr
+				plan.mapLocs[r.task.id] = r.fetchAddr
 				if r.repAddr != "" {
-					replicaLocs[r.task.id] = r.repAddr
+					plan.replicaLocs[r.task.id] = r.repAddr
 				} else if r.parts != nil {
-					replicaParts[r.task.id] = r.parts
+					plan.replicaParts[r.task.id] = r.parts
 				}
 				// Stream the new location (and its replica, for worker-local
 				// failover) to every running early reducer. Exactly-once per
@@ -1391,14 +1281,11 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 				}
 				stats.MapOutputsStored++
 				m.metrics.mapOutputs.With("stored").Inc()
-			case eng != nil:
-				if r.prepart {
-					stats.PrePartitioned++
-					m.metrics.partResults.Inc()
-				}
-				eng.feed(r.parts, r.partial)
 			default:
-				partials = append(partials, flatten(r.parts, r.partial))
+				if err := fold.add(r.partial); err != nil {
+					abandon()
+					return nil, stats, fmt.Errorf("netmr: merge: shard %d's result repeats %w", r.task.id, err)
+				}
 			}
 			stats.Completed++
 			pending--
@@ -1498,13 +1385,6 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 		trc.addPhase("split", splitStart, barrier)
 	}
 	m.metrics.splitSeconds.Observe(stats.SplitWall.Seconds())
-	if eng != nil {
-		// Sampled at the barrier: fold time the folders have already
-		// spent ran under the map phase — the Ws the overlap hid. (The
-		// wall window since the first feed would mostly be idle time
-		// waiting for map results and overstate the win.)
-		stats.MergeOverlapWall = eng.overlapped()
-	}
 
 	// Reduce phase: the R partitions go back out to the workers as
 	// tasks; the per-key fold happens there, not here. What is
@@ -1512,12 +1392,7 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 	// R disjoint key spaces — O(keys) map copies, no Reduce/Combine calls.
 	if useReduce {
 		_, reduceSpan := obs.StartSpan(ctx, "reduce")
-		plan := &reducePlan{
-			jobName: jobName, job: job, runID: runID,
-			mapLocs: mapLocs, replicaLocs: replicaLocs, replicaParts: replicaParts,
-			shards: shards, shardRecords: shardRecords,
-		}
-		finals, rerr := m.runReducePhase(ctx, plan, &stats, ledger, trc, deadline.C,
+		finals, rerr := m.runReducePhase(ctx, plan, ledger, trc, deadline.C,
 			rResultCh, rFailCh, earlyLaunched)
 		reduceSpan.End()
 		reduceEnd := time.Now()
@@ -1547,73 +1422,24 @@ func (m *Master) Run(ctx context.Context, jobName string, records []string, shar
 		return out, stats, nil
 	}
 
-	// Merge tail: the part of the merge left beyond the split barrier.
-	// With the engine most folding already happened under the map phase
-	// (MergeOverlapWall), so only the parallel finalize remains here. The
-	// SerialMerge path does all its Ws(n) work in this window.
+	// Merge tail: every shard result is already folded, so only the
+	// fold's result and the output map remain after the barrier — the
+	// run's Ws.
 	_, mergeSpan := obs.StartSpan(ctx, "merge")
-	var out map[string]float64
-	if eng != nil {
-		out, err = eng.finalize(ctx)
-		if err != nil {
-			mergeSpan.End()
-			return nil, stats, err
-		}
-		for p := range eng.busy {
-			m.metrics.mergePartition.With(strconv.Itoa(p)).Observe(time.Duration(eng.busy[p].Load()).Seconds())
-		}
-	} else if out, err = serialMerge(job, partials); err != nil {
-		mergeSpan.End()
+	out, err := unionPairs([]pairs{fold.result()})
+	mergeSpan.End()
+	if err != nil {
 		return nil, stats, err
 	}
-	mergeSpan.End()
 	end := time.Now()
 	if trc != nil {
 		trc.addPhase("merge", barrier, end)
 	}
-	stats.MergeWall = end.Sub(barrier) + stats.MergeOverlapWall
+	stats.MergeWall = end.Sub(barrier)
 	stats.TotalWall = end.Sub(splitStart)
 	m.metrics.mergeSeconds.Observe(stats.MergeWall.Seconds())
-	m.metrics.mergeOverlap.Observe(stats.MergeOverlapWall.Seconds())
-	m.metrics.mergeWidth.Set(float64(m.cfg.Partitions))
+	m.metrics.mergeWidth.Set(1)
 	return out, stats, nil
-}
-
-// flatten collapses a pre-partitioned result back into one flat partial
-// for the SerialMerge path (which should only ever see flat results,
-// since its helloack sets one partition — this is defensive).
-func flatten(parts []partitionPartial, whole pairs) pairs {
-	if parts == nil {
-		return whole
-	}
-	if len(parts) == 1 {
-		return parts[0].Partial
-	}
-	var out pairs
-	for _, p := range parts {
-		out.Keys = append(out.Keys, p.Partial.Keys...)
-		out.Vals = append(out.Vals, p.Partial.Vals...)
-	}
-	return out
-}
-
-// serialMerge is the legacy barrier-then-merge: every partial folded
-// through one goroutine after the split completes, in arrival order.
-// Jobs with a streaming Combine fold partials as they go; the rest
-// group values per key and Reduce once. A key one partial repeats fails
-// the merge (errDuplicateKey).
-func serialMerge(job Job, partials []pairs) (map[string]float64, error) {
-	n := 0
-	for _, p := range partials {
-		n += len(p.Keys)
-	}
-	f := newKeyFold(job, n)
-	for i, p := range partials {
-		if err := f.add(p); err != nil {
-			return nil, fmt.Errorf("netmr: serial merge: shard result %d repeats %w", i, err)
-		}
-	}
-	return unionPairs([]pairs{f.result()})
 }
 
 // Close stops accepting workers, halts the heartbeat loop and the

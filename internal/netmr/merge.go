@@ -1,42 +1,17 @@
 package netmr
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"ipso/internal/runner"
 )
 
-// The partitioned, map-overlapped merge engine. The old merge was the
-// runtime's textbook Ws(n): the master waited at the split barrier, then
-// folded every worker partial through one goroutine — serial work that
-// grows with the number of distinct keys shipped back, exactly the
-// in-proportion serial portion the IPSO model (Eq. 7/8) says caps
-// speedup. The engine attacks it on both axes:
-//
-//   - overlap: every arriving partial is folded the moment it lands,
-//     while the map phase is still draining, so most merge work hides
-//     under the split wall instead of extending the job past it;
-//   - parallelism: keys are hash-partitioned (partitionIndex) and each
-//     partition is owned by one folder goroutine — lock-free, because
-//     ownership is the synchronization — then finalized in parallel via
-//     runner.Map.
-//
-// Workers told P > 1 in the helloack ship results already split per
-// partition (presult frames); a flat partial (P = 1, or a result frame)
-// is split by the engine's router on arrival. Both paths land identical
-// keys in identical partitions.
-
-// mergeFeed is one shard result queued for routing: either already
-// partitioned by the worker (parts) or flat (whole).
-type mergeFeed struct {
-	parts []partitionPartial
-	whole pairs
-}
+// The master's merge: with Reducers 0 every winning shard result is
+// folded into one keyFold the moment it arrives, while the map phase
+// still drains; at the split barrier only the fold's result and the one
+// union into the output map remain. That post-barrier tail is the
+// runtime's Ws(n), the serial residue of Eq. 7/8. With Reducers > 0 the
+// same keyFold runs inside each reduce task on the workers, and the
+// master's tail is the union of the R disjoint results.
 
 // errDuplicateKey names a partial that carries one key twice. A map
 // could never hold that, and a flat partial must not either: a fold
@@ -47,7 +22,7 @@ var errDuplicateKey = errors.New("duplicate key")
 // key → id table, keys in first-seen order. Jobs with a Combine keep a
 // running accumulator per key; the rest log every (id, value) and group
 // the log once in result, so each key's values reach Reduce in input
-// order either way — the order serialMerge, the engine and the reduce
+// order either way — the order serialMerge, the master and the reduce
 // tasks all fold in. seen holds, per key, the ordinal of the last input
 // that carried it, which makes a key repeated within one input a
 // constant-time check instead of a double count.
@@ -79,10 +54,10 @@ func newKeyFold(job Job, n int) *keyFold {
 }
 
 // grown returns s with room for one more element, doubling it when
-// full. Only folds not presized grow — the merge engine's partitions,
-// whose inputs arrive one at a time. append alone grows a large slice by
-// about a quarter at a time, allocating several times its final size;
-// doubling bounds the total at about twice that.
+// full. Only folds not presized grow — the master's fold, whose inputs
+// arrive one at a time. append alone grows a large slice by about a
+// quarter at a time, allocating several times its final size; doubling
+// bounds the total at about twice that.
 func grown[T any](s []T) []T {
 	if len(s) < cap(s) {
 		return s
@@ -175,173 +150,10 @@ func unionPairs(parts []pairs) (map[string]float64, error) {
 	return out, nil
 }
 
-// mergeEngine owns the partition accumulators of one Run.
-type mergeEngine struct {
-	job   Job
-	parts int
-
-	inbox chan mergeFeed // Run loop → router; buffered one slot per shard
-	chans []chan pairs   // router → folders, one per partition
-
-	// Per-partition state, each slot owned by its folder goroutine until
-	// the folders are joined. busy is atomic (nanoseconds) because the
-	// Run loop samples it at the split barrier — overlapped() — while
-	// the folders are still appending to it.
-	folds []*keyFold
-	errs  []error // per partition: the fold's first error
-	busy  []atomic.Int64
-
-	routerDone chan struct{}
-	folders    sync.WaitGroup
-	finished   bool
-}
-
-// newMergeEngine builds an engine for one Run of job with the given
-// partition count and shard count (the inbox bound: every shard feeds
-// exactly once, so the Run loop never blocks on a feed).
-func newMergeEngine(job Job, parts, shards int) *mergeEngine {
-	if parts < 1 {
-		parts = 1
-	}
-	e := &mergeEngine{
-		job:        job,
-		parts:      parts,
-		inbox:      make(chan mergeFeed, shards),
-		chans:      make([]chan pairs, parts),
-		folds:      make([]*keyFold, parts),
-		errs:       make([]error, parts),
-		busy:       make([]atomic.Int64, parts),
-		routerDone: make(chan struct{}),
-	}
-	for p := range e.chans {
-		e.folds[p] = newKeyFold(job, 0)
-		e.chans[p] = make(chan pairs, shards)
-	}
-	go e.route()
-	for p := 0; p < parts; p++ {
-		e.folders.Add(1)
-		go e.fold(p)
-	}
-	return e
-}
-
-// feed hands one winning shard result to the engine. Called only from
-// the Run loop; the inbox is sized so it never blocks.
-func (e *mergeEngine) feed(parts []partitionPartial, whole pairs) {
-	e.inbox <- mergeFeed{parts: parts, whole: whole}
-}
-
-// route drains the inbox, splitting flat partials by key hash, and
-// forwards each piece to its partition's folder. Runs until the inbox
-// closes, so splitting cost never stalls the dispatch loop.
-func (e *mergeEngine) route() {
-	defer func() {
-		for _, ch := range e.chans {
-			close(ch)
-		}
-		close(e.routerDone)
-	}()
-	for f := range e.inbox {
-		if f.parts != nil {
-			for _, part := range f.parts {
-				if len(part.Partial.Keys) > 0 {
-					e.chans[part.ID] <- part.Partial
-				}
-			}
-			continue
-		}
-		if e.parts == 1 {
-			if len(f.whole.Keys) > 0 {
-				e.chans[0] <- f.whole
-			}
-			continue
-		}
-		split := make([]pairs, e.parts)
-		hint := len(f.whole.Keys)/e.parts + 1
-		for p := range split {
-			split[p] = pairs{Keys: make([]string, 0, hint), Vals: make([]float64, 0, hint)}
-		}
-		for i, k := range f.whole.Keys {
-			p := partitionIndex(k, e.parts)
-			split[p].Keys = append(split[p].Keys, k)
-			split[p].Vals = append(split[p].Vals, f.whole.Vals[i])
-		}
-		for p, part := range split {
-			if len(part.Keys) > 0 {
-				e.chans[p] <- part
-			}
-		}
-	}
-}
-
-// fold is partition p's owner: it folds every partial routed to p. No
-// locks — only this goroutine touches folds[p] and errs[p] until
-// folders.Wait returns (busy[p] is atomic for overlapped's sake). After
-// a fold error it only drains its channel.
-func (e *mergeEngine) fold(p int) {
-	defer e.folders.Done()
-	for c := range e.chans[p] {
-		if e.errs[p] != nil {
-			continue
-		}
-		start := time.Now()
-		if err := e.folds[p].add(c); err != nil {
-			e.errs[p] = fmt.Errorf("netmr: merge partition %d: a shard result repeats %w", p, err)
-		}
-		e.busy[p].Add(int64(time.Since(start)))
-	}
-}
-
-// finalize closes the intake, joins the folders, reduces each partition
-// in parallel on the context's runner pool, and unions the disjoint
-// partitions into one exactly-sized result map. After finalize the
-// engine is spent.
-func (e *mergeEngine) finalize(ctx context.Context) (map[string]float64, error) {
-	e.shutdown()
-	if err := errors.Join(e.errs...); err != nil {
-		return nil, err
-	}
-	finals, err := runner.Map(ctx, e.parts, func(_ context.Context, p int) (pairs, error) {
-		start := time.Now()
-		out := e.folds[p].result()
-		e.busy[p].Add(int64(time.Since(start)))
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return unionPairs(finals)
-}
-
-// overlapped reports the fold work the folders have performed so far.
-// Sampled at the split barrier it is the Ws the engine actually hid
-// under the map phase — the busy time, not the wall-clock window from
-// the first feed, which is mostly idle waiting for map results and
-// would overstate the overlap.
-func (e *mergeEngine) overlapped() time.Duration {
-	var total time.Duration
-	for p := range e.busy {
-		total += time.Duration(e.busy[p].Load())
-	}
-	return total
-}
-
-// shutdown closes the intake and joins the router and folders; it is
-// idempotent, so a Run that errors out mid-job can abandon the engine
-// without leaking its goroutines.
-func (e *mergeEngine) shutdown() {
-	if e.finished {
-		return
-	}
-	e.finished = true
-	close(e.inbox)
-	<-e.routerDone
-	e.folders.Wait()
-}
-
-// validateParts rejects a presult whose partition ids fall outside
-// [0, parts): routing an attacker- or corruption-supplied id would index
-// out of range, so a bad frame fails the launch instead.
+// validateParts rejects inline parts whose partition ids fall outside
+// [0, n): a mapdone's master-held replica is sliced by partition id when
+// reduce tasks are planned, and a part no reduce partition claims would
+// silently drop its keys, so a bad frame fails the launch instead.
 func validateParts(parts []partitionPartial, n int) error {
 	for _, p := range parts {
 		if p.ID < 0 || p.ID >= n {
@@ -349,4 +161,23 @@ func validateParts(parts []partitionPartial, n int) error {
 		}
 	}
 	return nil
+}
+
+// serialMerge folds every partial through one keyFold presized by the
+// total pair count, in the given order, and builds the output map: the
+// master's on-arrival fold with all inputs known up front. Tests and
+// benchmarks use it as the oracle the runtime's output must equal. A key
+// one partial repeats fails the merge (errDuplicateKey).
+func serialMerge(job Job, partials []pairs) (map[string]float64, error) {
+	n := 0
+	for _, p := range partials {
+		n += len(p.Keys)
+	}
+	f := newKeyFold(job, n)
+	for i, p := range partials {
+		if err := f.add(p); err != nil {
+			return nil, fmt.Errorf("netmr: serial merge: shard result %d repeats %w", i, err)
+		}
+	}
+	return unionPairs([]pairs{f.result()})
 }

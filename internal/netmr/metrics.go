@@ -20,10 +20,7 @@ type masterMetrics struct {
 	rpcSeconds     *obs.HistogramVec
 	splitSeconds   *obs.Histogram
 	mergeSeconds   *obs.Histogram
-	mergeOverlap   *obs.Histogram
-	mergePartition *obs.HistogramVec
 	mergeWidth     *obs.Gauge
-	partResults    *obs.Counter
 	reduceTasks    *obs.CounterVec
 	reduceSeconds  *obs.Histogram
 	shuffleBytes   *obs.Counter
@@ -73,15 +70,9 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		splitSeconds: r.Histogram("netmr_split_seconds",
 			"Split-phase wall time (scatter + parallel map, barrier to barrier).", nil),
 		mergeSeconds: r.Histogram("netmr_merge_seconds",
-			"Master-side merge window wall time (first partial fold to finalize; overlaps the split phase).", nil),
-		mergeOverlap: r.Histogram("netmr_merge_overlap_seconds",
-			"Merge wall time hidden under the split phase (map-overlap).", nil),
-		mergePartition: r.HistogramVec("netmr_merge_partition_seconds",
-			"Per-partition merge busy time (incremental folds plus finalize).", nil, "partition"),
+			"Master-side merge tail wall time: after the split barrier (or the reduce phase), finishing the fold of the shard results that arrived and building the output.", nil),
 		mergeWidth: r.Gauge("netmr_merge_parallelism",
-			"Merge partitions (folder goroutines) of the most recent job."),
-		partResults: r.Counter("netmr_partitioned_results_total",
-			"Winning shard results that arrived pre-partitioned by a worker."),
+			"Fold width of the most recent job: its reduce tasks, or 1 when the master folded."),
 		reduceTasks: r.CounterVec("netmr_reduce_tasks_total",
 			"Worker-side reduce task launches by outcome (ok or failed).", "status"),
 		reduceSeconds: r.Histogram("netmr_reduce_seconds",

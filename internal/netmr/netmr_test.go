@@ -266,17 +266,11 @@ func TestStatsPhases(t *testing.T) {
 	if stats.SplitWall <= 0 || stats.MergeWall < 0 || stats.TotalWall < stats.SplitWall {
 		t.Errorf("implausible phase stats %+v", stats)
 	}
-	// TotalWall is measured end to end, not derived: since the merge
-	// overlaps the split phase, summing the phases double counts the
-	// overlap window and can only over-estimate the wall.
-	if stats.TotalWall > stats.SplitWall+stats.MergeWall {
-		t.Errorf("TotalWall %v exceeds SplitWall %v + MergeWall %v",
+	// TotalWall is measured end to end, not derived. The fold on arrival
+	// runs inside the split phase and the merge tail starts at the
+	// barrier, so the two phases tile the wall exactly.
+	if stats.TotalWall != stats.SplitWall+stats.MergeWall {
+		t.Errorf("TotalWall %v != SplitWall %v + MergeWall %v",
 			stats.TotalWall, stats.SplitWall, stats.MergeWall)
-	}
-	if stats.MergeOverlapWall < 0 || stats.MergeOverlapWall > stats.MergeWall {
-		t.Errorf("MergeOverlapWall %v outside [0, MergeWall %v]", stats.MergeOverlapWall, stats.MergeWall)
-	}
-	if stats.Partitions < 1 {
-		t.Errorf("Partitions = %d, want >= 1", stats.Partitions)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // the identity on keys, values and bytes, with no sort anywhere.
 func TestPairsRoundTripKeepsOrder(t *testing.T) {
 	p := pairs{Keys: []string{"zeta", "alpha", "", "mid", "πκλ"}, Vals: []float64{1, -2.5, 3, math.Inf(1), 1e-300}}
-	in := message{Type: "presult", TaskID: 3, Partial: p, Parts: []partitionPartial{{ID: 1, Partial: p}}}
+	in := message{Type: "mapdone", TaskID: 3, Partial: p, Parts: []partitionPartial{{ID: 1, Partial: p}}}
 	frame := encodeBinary(t, in)
 	got := decodeBinary(t, frame)
 	if !reflect.DeepEqual(got.Partial, p) || !reflect.DeepEqual(got.Parts[0].Partial, p) {
@@ -44,7 +44,7 @@ func TestPairsRoundTripKeepsOrder(t *testing.T) {
 // TestFramesByteDeterministic: the bytes of every bulk frame are a
 // function of the task's inputs alone. Running the same shard twice —
 // on a scratch reused across other shards in between, and on a fresh
-// one — must give byte-identical replicate, presult and result frames,
+// one — must give byte-identical replicate, mapdone and result frames,
 // and folding the same reduce inputs twice (in memory and through spill
 // runs) byte-identical reduce result frames.
 func TestFramesByteDeterministic(t *testing.T) {
@@ -57,7 +57,7 @@ func TestFramesByteDeterministic(t *testing.T) {
 				partsA := runShardPartitioned(job, shardA, sc, R)
 				out := [][]byte{
 					encodeBinary(t, message{Type: "replicate", Run: "wc#1", TaskID: 0, Parts: partsA, Reducers: R}),
-					encodeBinary(t, message{Type: "presult", TaskID: 0, Parts: partsA}),
+					encodeBinary(t, message{Type: "mapdone", Run: "wc#1", TaskID: 0, Parts: partsA}),
 				}
 				partsB := runShardPartitioned(job, shardB, sc, R)
 				for p := 0; p < R; p++ {
@@ -104,9 +104,9 @@ func TestFramesByteDeterministic(t *testing.T) {
 
 // TestFoldsRejectRepeatedKey: a key repeated within one partial is
 // never folded twice. Every fold — the reduce task's in-memory and
-// spilled folds, the serial merge, the merge engine — fails with
-// errDuplicateKey naming it, while the same key in two partials folds
-// normally.
+// spilled folds, the serial merge, the master's fold fed one result at a
+// time — fails with errDuplicateKey naming it, while the same key in two
+// partials folds normally.
 func TestFoldsRejectRepeatedKey(t *testing.T) {
 	dup := pairs{Keys: []string{"dup", "x", "dup"}, Vals: []float64{1, 1, 1}}
 	clean := pairs{Keys: []string{"dup", "x"}, Vals: []float64{1, 1}}
@@ -138,13 +138,12 @@ func TestFoldsRejectRepeatedKey(t *testing.T) {
 			if _, err := serialMerge(job, []pairs{clean, dup}); !errors.Is(err, errDuplicateKey) {
 				t.Fatalf("serial merge of a repeated key: %v, want errDuplicateKey", err)
 			}
-			for _, parts := range []int{1, 3} {
-				eng := newMergeEngine(job, parts, 2)
-				eng.feed(nil, clean)
-				eng.feed(nil, dup)
-				if _, err := eng.finalize(context.Background()); !errors.Is(err, errDuplicateKey) {
-					t.Fatalf("engine (P=%d) merge of a repeated key: %v, want errDuplicateKey", parts, err)
-				}
+			f := newKeyFold(job, 0)
+			if err := f.add(clean); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.add(dup); !errors.Is(err, errDuplicateKey) || !strings.Contains(err.Error(), `key "dup"`) {
+				t.Fatalf("fold on arrival of a repeated key: %v, want errDuplicateKey naming the key", err)
 			}
 		})
 	}
@@ -250,25 +249,24 @@ func TestRogueShufflePeerRepeatedKey(t *testing.T) {
 }
 
 // TestMasterRejectsRepeatedKey: the master's own folds refuse a key a
-// worker's result repeats. A rogue map worker under the serial merge
-// and the merge engine, and rogue reducers whose partitions share a key
-// in the distributed reduce's union, must fail the run with
-// errDuplicateKey — never return an output holding one value for two.
+// worker's result repeats. A rogue map worker under the master's fold,
+// and rogue reducers whose partitions share a key in the distributed
+// reduce's union, must fail the run with errDuplicateKey naming the
+// shard — never return an output holding one value for two.
 func TestMasterRejectsRepeatedKey(t *testing.T) {
 	dup := pairs{Keys: []string{"dup", "dup"}, Vals: []float64{1, 1}}
-	for _, cfg := range []MasterConfig{{SerialMerge: true}, {Partitions: 1}, {Partitions: 3}} {
-		cfg.TaskTimeout, cfg.JobTimeout, cfg.MaxAttempts = 5*time.Second, 30*time.Second, 1
-		master, addr := startReduceCluster(t, cfg, 0)
-		rogueWorker(t, addr, "rogue", "127.0.0.1:1", func(m message) message {
-			return message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: dup}
-		})
-		if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := master.Run(context.Background(), "wordcount", testLines(t, 20), 2)
-		if !errors.Is(err, errDuplicateKey) || got != nil {
-			t.Fatalf("%+v: run over a repeated key = (%v, %v), want errDuplicateKey", cfg, got, err)
-		}
+	folder, folderAddr := startReduceCluster(t, MasterConfig{
+		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, MaxAttempts: 1,
+	}, 0)
+	rogueWorker(t, folderAddr, "rogue", "127.0.0.1:1", func(m message) message {
+		return message{Type: "result", TaskID: m.TaskID, Attempt: m.Attempt, Partial: dup}
+	})
+	if err := folder.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := folder.Run(context.Background(), "wordcount", testLines(t, 20), 2)
+	if !errors.Is(err, errDuplicateKey) || got != nil || !strings.Contains(err.Error(), "shard ") {
+		t.Fatalf("run over a repeated key = (%v, %v), want errDuplicateKey naming the shard", got, err)
 	}
 
 	const R = 2
@@ -299,7 +297,7 @@ func TestMasterRejectsRepeatedKey(t *testing.T) {
 	if err := master.WaitForWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := master.Run(context.Background(), "wordcount", testLines(t, 20), 2)
+	got, _, err = master.Run(context.Background(), "wordcount", testLines(t, 20), 2)
 	if !errors.Is(err, errDuplicateKey) || got != nil {
 		t.Fatalf("union of reduce partitions sharing a key = (%v, %v), want errDuplicateKey", got, err)
 	}

@@ -3,7 +3,6 @@ package netmr
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -96,79 +95,8 @@ func TestRunShardPartitioned(t *testing.T) {
 	}
 }
 
-// TestMergeEngineMatchesSerialMerge drives the engine with a mix of
-// pre-partitioned and flat feeds, in shuffled arrival orders, and checks
-// the result is byte-identical to the legacy serial merge — for both the
-// Combine fold and the grouped Reduce paths, at several widths.
-func TestMergeEngineMatchesSerialMerge(t *testing.T) {
-	lines := testLines(t, 300)
-	const shards = 10
-	per := len(lines) / shards
-
-	plain := wordCountJob()
-	combined := wordCountJob()
-	combined.Combine = func(acc, v float64) float64 { return acc + v }
-
-	for name, job := range map[string]Job{"reduce": plain, "combine": combined} {
-		t.Run(name, func(t *testing.T) {
-			partials := make([]pairs, shards)
-			for i := range partials {
-				partials[i] = runShard(job, lines[i*per:(i+1)*per], newShardScratch())
-			}
-			want, err := serialMerge(job, partials)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for _, parts := range []int{1, 2, 4, 7} {
-				for seed := int64(0); seed < 3; seed++ {
-					eng := newMergeEngine(job, parts, shards)
-					order := rand.New(rand.NewSource(seed)).Perm(shards)
-					for _, i := range order {
-						if i%2 == 0 {
-							// Even shards arrive pre-partitioned (a presult)...
-							eng.feed(runShardPartitioned(job, lines[i*per:(i+1)*per], newShardScratch(), parts), pairs{})
-						} else {
-							// ...odd shards arrive flat (a result frame).
-							eng.feed(nil, partials[i])
-						}
-					}
-					got, err := eng.finalize(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("parts=%d seed=%d: engine result diverged from serial merge", parts, seed)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestMergeEngineShutdownIdempotent: an abandoned engine (Run erroring
-// out mid-job) must be safe to shut down repeatedly, including after
-// finalize.
-func TestMergeEngineShutdownIdempotent(t *testing.T) {
-	eng := newMergeEngine(wordCountJob(), 3, 4)
-	eng.feed(nil, pairsOf(map[string]float64{"a": 1}))
-	eng.shutdown()
-	eng.shutdown()
-	if _, err := eng.finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if d := eng.overlapped(); d <= 0 {
-		t.Errorf("overlapped busy after feed = %v, want > 0", d)
-	}
-	fresh := newMergeEngine(wordCountJob(), 2, 1)
-	if d := fresh.overlapped(); d != 0 {
-		t.Errorf("overlapped busy of unfed engine = %v, want 0", d)
-	}
-	fresh.shutdown()
-}
-
-// TestValidateParts: partition ids outside [0, P) must be rejected at
-// dispatch, never routed.
+// TestValidateParts: partition ids outside [0, R) must be rejected at
+// dispatch, never held for a reduce plan.
 func TestValidateParts(t *testing.T) {
 	ok := []partitionPartial{{ID: 0}, {ID: 3}}
 	if err := validateParts(ok, 4); err != nil {
@@ -185,71 +113,43 @@ func TestValidateParts(t *testing.T) {
 	}
 }
 
-// runWordCount runs one wordcount job on a fresh cluster with the given
-// master config and returns the result and stats.
-func runWordCount(t *testing.T, cfg MasterConfig, workers int, lines []string, shards int) (map[string]float64, Stats) {
-	t.Helper()
-	master, err := NewMaster(mustRegistry(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := master.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(master.Close)
-	for i := 0; i < workers; i++ {
-		w, err := NewWorker(mustRegistry(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Start(addr); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(w.Stop)
-	}
-	if err := master.WaitForWorkers(workers, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	out, stats, err := master.Run(context.Background(), "wordcount", lines, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, stats
-}
-
-// TestResultsIdenticalAcrossPartitionConfigs: the partition count, the
-// overlap, and the SerialMerge fallback are pure performance knobs — the
-// reduced output must be identical under every configuration.
+// TestResultsIdenticalAcrossPartitionConfigs: batching, shard count and
+// pool size are pure performance knobs — the master's fold on arrival
+// must return exactly what the serialMerge oracle returns over the same
+// shards, on the Combine and the grouped Reduce paths, whatever order
+// the results arrive in, and the split phase and merge tail must tile
+// the run's wall exactly.
 func TestResultsIdenticalAcrossPartitionConfigs(t *testing.T) {
 	lines := testLines(t, 500)
-	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
-
-	base := MasterConfig{TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second}
-	configs := map[string]MasterConfig{
-		"serial":       {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, SerialMerge: true},
-		"partitions-1": {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, Partitions: 1},
-		"partitions-3": {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, Partitions: 3},
-		"partitions-8": {TaskTimeout: base.TaskTimeout, JobTimeout: base.JobTimeout, Partitions: 8},
-	}
-	for name, cfg := range configs {
+	for _, tc := range []struct{ batch, shards, workers int }{
+		{1, 12, 2}, {4, 12, 2}, {1, 7, 3}, {3, 20, 1},
+	} {
+		name := fmt.Sprintf("batch%d-shards%d-workers%d", tc.batch, tc.shards, tc.workers)
 		t.Run(name, func(t *testing.T) {
-			got, stats := runWordCount(t, cfg, 2, lines, 12)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: result diverged from local reference", name)
-			}
-			if cfg.SerialMerge {
-				if stats.MergeOverlapWall != 0 {
-					t.Errorf("SerialMerge overlapped %v, want 0", stats.MergeOverlapWall)
+			for _, combine := range []bool{false, true} {
+				reg := pipelineRegistry(t, combine, 0)
+				job, _ := reg.lookup("wordcount")
+				partials := make([]pairs, tc.shards)
+				for i := range partials {
+					lo, hi := len(lines)*i/tc.shards, len(lines)*(i+1)/tc.shards
+					partials[i] = runShard(job, lines[lo:hi], newShardScratch())
 				}
-				if stats.Partitions != 1 {
-					t.Errorf("SerialMerge Partitions = %d, want 1", stats.Partitions)
+				want, err := serialMerge(job, partials)
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if cfg.Partitions > 1 && stats.PrePartitioned == 0 {
-				t.Errorf("%s: no result arrived pre-partitioned (PrePartitioned = 0)", name)
-			}
-			if stats.TotalWall > stats.SplitWall+stats.MergeWall {
-				t.Errorf("%s: TotalWall %v > SplitWall+MergeWall %v", name, stats.TotalWall, stats.SplitWall+stats.MergeWall)
+				got, stats, _ := runPipelineCluster(t, reg, MasterConfig{
+					TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, MaxTaskBatch: tc.batch,
+				}, WorkerConfig{}, tc.workers, tc.shards, lines, nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("combine=%v: result diverged from the serialMerge oracle", combine)
+				}
+				if stats.Completed != tc.shards {
+					t.Errorf("combine=%v: Completed = %d, want %d", combine, stats.Completed, tc.shards)
+				}
+				if stats.TotalWall != stats.SplitWall+stats.MergeWall {
+					t.Errorf("combine=%v: TotalWall %v != SplitWall+MergeWall %v", combine, stats.TotalWall, stats.SplitWall+stats.MergeWall)
+				}
 			}
 		})
 	}
@@ -298,15 +198,13 @@ func rawHello(t *testing.T, addr string, hello message) *conn {
 	return c
 }
 
-// TestResultFrameSmuggledPartsDropped is the regression test for the
-// router panic: a "result" frame carrying a Parts list with an
-// out-of-range partition id used to skip validateParts and crash the
-// merge router goroutine. The master must drop the payload, merge the
-// flat partial, and finish with correct output — without counting the
-// result as pre-partitioned.
+// TestResultFrameSmuggledPartsDropped: a "result" frame carrying a Parts
+// list with an out-of-range partition id skips validateParts (a flat
+// result has no partitions to validate). The master must drop the
+// payload, fold the flat partial, and finish with correct output.
 func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
+		TaskTimeout: 10 * time.Second, JobTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +224,7 @@ func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := testLines(t, 200)
-	got, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
+	got, _, err := master.Run(context.Background(), "wordcount", lines, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,18 +235,16 @@ func TestResultFrameSmuggledPartsDropped(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("result diverged from reference after dropping smuggled parts")
 	}
-	if stats.PrePartitioned != 0 {
-		t.Errorf("smuggled parts counted as pre-partitioned: %d", stats.PrePartitioned)
-	}
 }
 
-// TestPresultOutOfRangePartsFailsLaunch: a presult whose partition ids
-// fall outside [0, P) must fail that worker's launch (never reach the
-// router), and the job must still complete via reassignment to an
-// honest worker.
+// TestPresultOutOfRangePartsFailsLaunch (named for the pre-split result
+// frame this check first guarded): a mapdone whose inline Parts carry a
+// partition id outside [0, R) must fail that worker's launch (never be
+// held for a reduce plan), and the job must still complete via
+// reassignment to an honest worker.
 func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{
-		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Partitions: 4,
+		TaskTimeout: 5 * time.Second, JobTimeout: 30 * time.Second, Reducers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +256,10 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 	t.Cleanup(master.Close)
 	sc := newShardScratch()
 	rogueWorker(t, addr, "rogue", "127.0.0.1:1", func(m message) message {
-		return message{Type: "presult", TaskID: m.TaskID, Attempt: m.Attempt,
+		if m.Type != "task" {
+			return message{Type: "error", TaskID: m.TaskID, Message: "rogue"}
+		}
+		return message{Type: "mapdone", TaskID: m.TaskID, Attempt: m.Attempt, Run: m.Run,
 			Parts: []partitionPartial{{ID: 99, Partial: runShard(wordCountJob(), m.Records, sc)}}}
 	})
 	honest, err := NewWorker(mustRegistry(t))
@@ -381,26 +280,27 @@ func TestPresultOutOfRangePartsFailsLaunch(t *testing.T) {
 	}
 	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("result diverged from reference with a rogue presult worker in the pool")
+		t.Fatal("result diverged from reference with a rogue mapdone worker in the pool")
 	}
 	// The rogue's first bad frame drops it; any shard it had been
 	// assigned must have been reassigned to the honest worker.
 	for _, ws := range stats.PerWorker {
 		if ws.ID == "rogue" && ws.ShardsRun > 0 {
-			t.Errorf("rogue presult worker credited with %d shards", ws.ShardsRun)
+			t.Errorf("rogue mapdone worker credited with %d shards", ws.ShardsRun)
 		}
 	}
 }
 
-// presultFrameSeeds are presult shapes for the fuzz seed corpus.
-func presultFrameSeeds() []message {
+// inlinePartsFrameSeeds are mapdone shapes carrying a map output inline
+// (the master-held replica) for the fuzz seed corpus.
+func inlinePartsFrameSeeds() []message {
 	return []message{
-		{Type: "presult", TaskID: 1, Attempt: 1, Parts: []partitionPartial{
+		{Type: "mapdone", TaskID: 1, Attempt: 1, Run: "wc#3", Parts: []partitionPartial{
 			{ID: 0, Partial: pairsOf(map[string]float64{"a": 1, "b": 2})},
 			{ID: 2, Partial: pairsOf(map[string]float64{"c": -3.5})},
 		}},
-		{Type: "presult", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
-		{Type: "presult"},
+		{Type: "mapdone", TaskID: 0, Parts: []partitionPartial{{ID: 7}}},
+		{Type: "mapdone"},
 	}
 }
 
@@ -414,7 +314,7 @@ func spanFrameSeeds() []message {
 			{Phase: "combine", Start: 0.8, End: 0.9},
 			{Phase: "encode", Start: 0.9, End: 0.95},
 		}},
-		{Type: "presult", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
+		{Type: "mapdone", TaskID: 3, Trace: "j-9", Spans: []spanSummary{
 			{Phase: "partition", Start: 0.1, End: 0.2},
 		}, Parts: []partitionPartial{{ID: 0, Partial: pairsOf(map[string]float64{"k": 1})}}},
 		{Type: "result", TaskID: 2, Trace: "", Spans: nil},

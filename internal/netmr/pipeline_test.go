@@ -352,3 +352,51 @@ func TestEarlyShuffleFailoverUnderChaos(t *testing.T) {
 		t.Errorf("ReduceTasks = %d, want 3", stats.ReduceTasks)
 	}
 }
+
+// TestEarlyRerouteStartsRecoveryWall: a mapper that dies right after its
+// first mapdone leaves a stored output with a dead primary well before
+// the map tail. The early launch that routes that output to its replica
+// recovers from a loss just as a barrier dispatch would: it must count
+// the replica fetch and start the RecoveryWall clock. R = 1, so the one
+// partition is launched early and no barrier dispatch plans at all; the
+// last shard's marker record holds that shard long enough for a worker
+// to go idle under the map tail.
+func TestEarlyRerouteStartsRecoveryWall(t *testing.T) {
+	const marker = "slow-tail-marker"
+	lines := append(testLines(t, 90), marker)
+	want := mapOf(t, runShard(wordCountJob(), lines, newShardScratch()))
+	job := wordCountJob()
+	inner := job.Map
+	job.Map = func(record string, emit func(string, float64)) {
+		time.Sleep(3 * time.Millisecond)
+		if record == marker {
+			time.Sleep(300 * time.Millisecond)
+		}
+		inner(record, emit)
+	}
+	reg, err := NewRegistry(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, _ := runPipelineCluster(t, reg, MasterConfig{
+		TaskTimeout: 10 * time.Second, JobTimeout: 60 * time.Second,
+		Reducers: 1, EarlyShuffle: true,
+	}, WorkerConfig{}, 3, 9, lines,
+		func(i int, w *Worker) {
+			if i == 0 {
+				w.killAfterMapdone = true
+			}
+		})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("early reroute run diverged from reference")
+	}
+	if stats.EarlyReduceTasks != 1 || stats.EarlyAborts != 0 {
+		t.Fatalf("early launches %d (aborts %d), want the one partition launched early and kept", stats.EarlyReduceTasks, stats.EarlyAborts)
+	}
+	if stats.ReplicaFetches == 0 {
+		t.Fatalf("ReplicaFetches = 0, want the early plan to route around the dead mapper; stats %+v", stats)
+	}
+	if stats.RecoveryWall <= 0 {
+		t.Errorf("RecoveryWall = %v after an early reroute, want > 0", stats.RecoveryWall)
+	}
+}

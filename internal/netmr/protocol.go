@@ -1,13 +1,14 @@
 // Package netmr is a real, network-distributed Split-Merge MapReduce
 // runtime: a master listens on TCP, workers connect, the master scatters
 // input shards to the workers (the split phase, with barrier
-// synchronization), and merges their partial results serially (the merge
-// phase) — the execution structure of Fig. 1 running over genuine
-// sockets rather than the simulator.
+// synchronization), and folds their partial results into one key space
+// as they arrive (the merge phase, whose post-barrier tail is serial) —
+// the execution structure of Fig. 1 running over genuine sockets rather
+// than the simulator.
 //
 // It exists so the library is a usable distributed system and so the
 // IPSO phase decomposition (Wp from the parallel map wave, Ws from the
-// serial merge, Wo from dispatch) can be measured on real wall clocks.
+// merge tail, Wo from dispatch) can be measured on real wall clocks.
 // Values are restricted to string→float64 pairs so results serialize
 // uniformly; that covers counting, summing and histogram workloads.
 //
@@ -22,7 +23,7 @@
 // another version answers with an error frame naming both versions and
 // hangs up, so a mismatched worker fails fast with a reason instead of
 // misparsing frames. The helloack carries the cluster settings the
-// worker adopts (merge partitions, reduce partitions, shuffle timeout).
+// worker adopts (reduce partitions, shuffle timeout).
 // Everything else is decided per frame by its contents: a task frame
 // with a trace ID is traced, one with a run ID persists its output for
 // the distributed reduce.
@@ -41,26 +42,25 @@ import (
 // protocolVersion is the wire protocol this build speaks. Any change to
 // the frame layout bumps it; the hello check then refuses peers of the
 // other version by name.
-const protocolVersion = 3
+const protocolVersion = 4
 
 // message is the single wire frame. Every field travels on every frame
 // (codec.go); unused ones cost a zero byte or two.
 type message struct {
-	Type       string             // hello | helloack | task | taskbatch | result | presult | error | ping | pong | reducetask | fetch | fetchresult | mapdone | replicate | replicack | morelocs
-	ID         string             // hello: worker identity
-	Job        string             // task
-	TaskID     int                // task | result | presult | error; reducetask | fetch: reduce partition
-	Attempt    int                // task | result | presult: retry ordinal, 0-based
-	Records    []string           // task
-	Partial    pairs              // result
-	Jobs       []string           // hello
-	Message    string             // error
-	Version    int                // hello: the worker's protocolVersion
-	Batch      []taskSpec         // taskbatch
-	Partitions int                // helloack: merge partition count (>1: ship results pre-split)
-	Parts      []partitionPartial // presult: per-partition partials; reducetask | fetchresult: per-map-task partials (ID is the map task id)
-	Trace      string             // task | taskbatch: job trace ID (non-empty: trace this task); result | presult: echoed back
-	Spans      []spanSummary      // result | presult: worker-side phase spans
+	Type    string             // hello | helloack | task | taskbatch | result | error | ping | pong | reducetask | fetch | fetchresult | mapdone | replicate | replicack | morelocs
+	ID      string             // hello: worker identity
+	Job     string             // task
+	TaskID  int                // task | result | error; reducetask | fetch: reduce partition
+	Attempt int                // task | result: retry ordinal, 0-based
+	Records []string           // task
+	Partial pairs              // result
+	Jobs    []string           // hello
+	Message string             // error
+	Version int                // hello: the worker's protocolVersion
+	Batch   []taskSpec         // taskbatch
+	Parts   []partitionPartial // mapdone | replicate: per-partition partials; reducetask | morelocs | fetchresult: per-map-task partials (ID is the map task id)
+	Trace   string             // task | taskbatch: job trace ID (non-empty: trace this task); result | mapdone: echoed back
+	Spans   []spanSummary      // result | mapdone: worker-side phase spans
 
 	// Distributed-reduce fields.
 	Run      string     // task | mapdone | reducetask | fetch: run id intermediate output is keyed by
@@ -117,10 +117,11 @@ type pairs struct {
 	Vals []float64
 }
 
-// partitionPartial is one merge partition's slice of a shard result: the
-// keys whose hash lands in partition ID, pre-split by the worker so the
-// master can route it to a partition accumulator without rehashing.
-// Empty partitions are omitted from the Parts list.
+// partitionPartial is one reduce partition's slice of a map output: the
+// keys whose hash lands in partition ID, split by the worker that
+// persists the output. On the frames that carry per-map-task partials,
+// ID is the map task id instead. Empty partitions are omitted from a
+// split.
 type partitionPartial struct {
 	ID      int
 	Partial pairs
@@ -295,9 +296,9 @@ func (r *Registry) lookup(name string) (Job, bool) {
 }
 
 // partitionIndex hashes key into [0, parts) with FNV-1a — the one hash
-// function workers and master must agree on, since a worker-partitioned
-// result and a master-side split or lineage re-execution must land
-// identical keys in identical partitions.
+// function workers and master must agree on, since a worker's persisted
+// map output and the master's lineage re-execution of it must land
+// identical keys in identical reduce partitions.
 func partitionIndex(key string, parts int) int {
 	if parts <= 1 {
 		return 0
@@ -433,9 +434,8 @@ func runShard(j Job, records []string, sc *shardScratch) pairs {
 }
 
 // runShardPartitioned executes one shard and collects the result split
-// into hash partitions, empty partitions omitted. The hashing cost this
-// moves onto the worker is the cost the master's serial merge no longer
-// pays — the worker side of shrinking Ws(n).
+// into the reduce partitions by key hash, empty partitions omitted: the
+// map side of a distributed reduce, whose partitions reducers fetch.
 func runShardPartitioned(j Job, records []string, sc *shardScratch, parts int) []partitionPartial {
 	if parts <= 1 {
 		return []partitionPartial{{ID: 0, Partial: runShard(j, records, sc)}}
@@ -507,7 +507,7 @@ const (
 	spanDecode    = "decode"    // wire decode of the task frame
 	spanMap       = "map"       // Map pass over the records (incl. streaming Combine)
 	spanCombine   = "combine"   // per-key reduction of buffered emissions
-	spanPartition = "partition" // hash-splitting keys into merge partitions
+	spanPartition = "partition" // hash-splitting keys into reduce partitions
 	spanEncode    = "encode"    // laying the result out in its wire shape
 	spanFetch     = "fetch"     // reduce task: pulling intermediate partitions from peers
 	spanReduce    = "reduce"    // reduce task: folding the fetched partials
@@ -589,7 +589,7 @@ func runShardTraced(j Job, records []string, sc *shardScratch, decode time.Durat
 
 // runShardPartitionedTraced is runShardPartitioned with per-phase span
 // recording; the hash split gets its own "partition" span so the cost
-// pre-splitting moves off the master is visible in the timeline.
+// of splitting for the reduce is visible in the timeline.
 func runShardPartitionedTraced(j Job, records []string, sc *shardScratch, parts int, decode time.Duration) ([]partitionPartial, []spanSummary) {
 	if parts <= 1 {
 		out, spans := runShardTraced(j, records, sc, decode)

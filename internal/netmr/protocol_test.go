@@ -13,8 +13,8 @@ import (
 // TestHelloVersionMismatchRefused: a hello of another protocol version
 // is answered with an error frame naming both versions, the connection
 // is closed, and the master admits nothing — also when the rest of that
-// version's hello layout does not decode here. A hello without a
-// shuffle address is refused the same way.
+// version's hello layout does not decode here, as for a version-3 peer.
+// A hello without a shuffle address is refused the same way.
 func TestHelloVersionMismatchRefused(t *testing.T) {
 	master, err := NewMaster(mustRegistry(t), MasterConfig{})
 	if err != nil {
@@ -35,6 +35,7 @@ func TestHelloVersionMismatchRefused(t *testing.T) {
 	}{
 		{"future", encodeBinary(t, future), versions},
 		{"future-layout", grownFrame(t, future), versions},
+		{"v3", v3Hello(t, "past", "127.0.0.1:1"), []string{"version 3", fmt.Sprintf("speaks %d", protocolVersion)}},
 		{"no-shuffle", encodeBinary(t, message{Type: "hello", Version: protocolVersion}), []string{"no shuffle listener address"}},
 	} {
 		raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
@@ -73,6 +74,21 @@ func grownFrame(t *testing.T, m message) []byte {
 	body := append(append([]byte(nil), wire[1:len(wire)-4]...), 0x2a)
 	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
 	wire = append([]byte{0}, body...)
+	return append(binary.AppendUvarint(nil, uint64(len(wire))), wire...)
+}
+
+// v3Hello encodes a hello in protocol version 3's layout, whose frames
+// carried a helloack Partitions varint between Batch and Parts: for a
+// hello, whose fields from Job up to Fetch are all empty, that is one
+// more zero byte right after ID.
+func v3Hello(t *testing.T, id, fetch string) []byte {
+	t.Helper()
+	wire := frameBody(t, encodeBinary(t, message{Type: "hello", ID: id, Version: 3, Fetch: fetch}))
+	body := wire[1 : len(wire)-4]
+	at := 2 + len(binary.AppendUvarint(nil, uint64(len(id)))) + len(id) // type byte, varint(3), ID
+	old := append(append(append([]byte(nil), body[:at]...), 0), body[at:]...)
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, crcTable))
+	wire = append([]byte{0}, old...)
 	return append(binary.AppendUvarint(nil, uint64(len(wire))), wire...)
 }
 

@@ -17,29 +17,123 @@ import (
 
 // reducePlan is everything the reduce phase needs to route intermediate
 // data: where the winning map outputs live (mapLocs), where their peer
-// replicas live (replicaLocs), the master-held replica payloads of
-// unreplicated outputs (replicaParts), and the lineage inputs (job +
-// shardRecords) for the last-ditch map re-execution fallback.
+// replicas live (replicaLocs), the master-held copies of outputs that
+// have no peer replica (replicaParts: inline mapdone replicas and map
+// re-executions), and the lineage inputs (job + shardRecords) for the
+// last-ditch re-execution. The Run loop fills the maps as mapdones land;
+// early and barrier dispatches both plan through route, on the Run
+// loop's goroutine only.
 type reducePlan struct {
+	m            *Master
+	stats        *Stats
 	jobName      string
 	job          Job
 	runID        string
 	mapLocs      map[int]string
 	replicaLocs  map[int]string
 	replicaParts map[int][]partitionPartial
-	shards       int
 	shardRecords func(int) []string
+
+	// recoveryAt marks the first dispatch, early or not, that had to
+	// route around a lost output; RecoveryWall runs from there to reduce
+	// phase completion.
+	recoveryAt time.Time
+	scratch    *shardScratch // lazy, only allocated if lineage re-execution happens
+}
+
+// route computes one dispatch's fetch plan for partition over the map
+// outputs stored so far. Each output goes to its live primary holder,
+// else to its live replica (counted in ReplicaFetches), else travels
+// inline from the master-held copy, else is re-executed from lineage on
+// the master and cached where an inline copy would have been. locs lists
+// each holder address with its sorted map tasks, reps the replica
+// holders a reducer may fail over to worker-locally, and inline the
+// partition's slice of every output that travels inline — an empty
+// slice included, so an early reducer's coverage count can reach Total.
+// An early dispatch passes reexec false: a plan that would need a
+// re-execution is declined (ok false, nothing counted), since recovery
+// before the barrier is not worth the re-run.
+func (pl *reducePlan) route(partition int, reexec bool) (locs []fetchLoc, inline []partitionPartial, reps []fetchLoc, ok bool) {
+	m := pl.m
+	tasks := make([]int, 0, len(pl.mapLocs))
+	for task := range pl.mapLocs {
+		tasks = append(tasks, task)
+	}
+	sort.Ints(tasks)
+	byAddr := make(map[string][]int)
+	repBy := make(map[string][]int)
+	rerouted, recovered := 0, false
+	for _, task := range tasks {
+		rep, hasRep := pl.replicaLocs[task]
+		hasRep = hasRep && m.addrAlive(rep)
+		if addr := pl.mapLocs[task]; m.addrAlive(addr) {
+			byAddr[addr] = append(byAddr[addr], task)
+			if hasRep {
+				repBy[rep] = append(repBy[rep], task)
+			}
+			continue
+		}
+		recovered = true
+		if hasRep {
+			byAddr[rep] = append(byAddr[rep], task)
+			rerouted++
+			continue
+		}
+		parts, held := pl.replicaParts[task]
+		if !held {
+			if !reexec {
+				return nil, nil, nil, false
+			}
+			if pl.scratch == nil {
+				pl.scratch = newShardScratch()
+			}
+			parts = runShardPartitioned(pl.job, pl.shardRecords(task), pl.scratch, m.cfg.Reducers)
+			pl.replicaParts[task] = parts
+			m.metrics.mapReexecs.Inc()
+		}
+		var slice pairs
+		for _, p := range parts {
+			if p.ID == partition {
+				slice = p.Partial
+				break
+			}
+		}
+		inline = append(inline, partitionPartial{ID: task, Partial: slice})
+	}
+	if rerouted > 0 {
+		pl.stats.ReplicaFetches += rerouted
+		m.metrics.replicaFetches.Add(float64(rerouted))
+	}
+	if recovered && pl.recoveryAt.IsZero() {
+		pl.recoveryAt = time.Now()
+	}
+	return sortedLocs(byAddr), inline, sortedLocs(repBy), true
+}
+
+// sortedLocs lists a holder → map tasks grouping as fetch locations in
+// address order.
+func sortedLocs(by map[string][]int) []fetchLoc {
+	addrs := make([]string, 0, len(by))
+	for addr := range by {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
+	locs := make([]fetchLoc, 0, len(addrs))
+	for _, addr := range addrs {
+		locs = append(locs, fetchLoc{Addr: addr, Tasks: by[addr]})
+	}
+	return locs
 }
 
 // runReducePhase assigns the R reduce partitions to workers and returns
 // their folded partitions, indexed by partition id.
 //
 // Unlike the map phase, fetch plans are computed per dispatch against the
-// current shuffle-address liveness view: a map output whose primary
-// holder died is rerouted to its peer replica, falls back to the
-// master-held copy inline on the task frame, and only when every copy is
-// gone is the map task re-executed from lineage on the master (cached, so
-// R partitions pay for one re-execution). The fold output is
+// current shuffle-address liveness view (reducePlan.route): a map output
+// whose primary holder died is rerouted to its peer replica, falls back
+// to the master-held copy inline on the task frame, and only when every
+// copy is gone is the map task re-executed from lineage on the master
+// (cached, so R partitions pay for one re-execution). The fold output is
 // byte-identical on every route — reducers order partials by map task id
 // before folding, not by arrival.
 //
@@ -50,93 +144,10 @@ type reducePlan struct {
 // exactly once, possibly into the pre-seeded channel buffers. An early
 // launch the master aborted fails with errEarlyAborted and requeues
 // without charging the attempt budget.
-func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *Stats, ledger *perWorkerLedger, trc *JobTrace, deadline <-chan time.Time,
+func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, ledger *perWorkerLedger, trc *JobTrace, deadline <-chan time.Time,
 	resultCh chan launchDone, failCh chan launchFail, earlySeeded map[int]bool) ([]pairs, error) {
 	R := m.cfg.Reducers
-
-	// Sorted stored-task ids: the deterministic iteration base for every
-	// per-dispatch plan.
-	storedTasks := make([]int, 0, len(plan.mapLocs))
-	for task := range plan.mapLocs {
-		storedTasks = append(storedTasks, task)
-	}
-	sort.Ints(storedTasks)
-
-	// recoveryAt marks the first time a dispatch had to route around a
-	// lost intermediate; RecoveryWall runs from there to phase completion.
-	var recoveryAt time.Time
-	recovered := func() {
-		if recoveryAt.IsZero() {
-			recoveryAt = time.Now()
-		}
-	}
-	var scratch *shardScratch // lazy, only allocated if lineage re-execution happens
-
-	// buildPlan computes one dispatch's fetch plan: each live holder
-	// address with the (sorted) map tasks to fetch from it, the replica
-	// addresses the reducer may fail over to worker-locally,
-	// plus the partition's slice of any output that has to travel inline
-	// (master replica or re-executed). Runs in the event-loop goroutine —
-	// it mutates shared state (replicaParts cache, stats).
-	buildPlan := func(partition int) ([]fetchLoc, []partitionPartial, []fetchLoc) {
-		byAddr := make(map[string][]int)
-		repBy := make(map[string][]int)
-		var inline []partitionPartial
-		for _, task := range storedTasks {
-			addr := plan.mapLocs[task]
-			if m.addrAlive(addr) {
-				byAddr[addr] = append(byAddr[addr], task)
-				if rep, ok := plan.replicaLocs[task]; ok && m.addrAlive(rep) {
-					repBy[rep] = append(repBy[rep], task)
-				}
-				continue
-			}
-			if rep, ok := plan.replicaLocs[task]; ok && m.addrAlive(rep) {
-				byAddr[rep] = append(byAddr[rep], task)
-				stats.ReplicaFetches++
-				m.metrics.replicaFetches.Inc()
-				recovered()
-				continue
-			}
-			parts, ok := plan.replicaParts[task]
-			if !ok {
-				// Primary and replica both gone: re-execute the map task
-				// from lineage on the master and cache the partition set
-				// where an inline replica would have been.
-				if scratch == nil {
-					scratch = newShardScratch()
-				}
-				parts = runShardPartitioned(plan.job, plan.shardRecords(task), scratch, R)
-				plan.replicaParts[task] = parts
-				m.metrics.mapReexecs.Inc()
-			}
-			recovered()
-			for _, p := range parts {
-				if p.ID == partition {
-					inline = append(inline, partitionPartial{ID: task, Partial: p.Partial})
-				}
-			}
-		}
-		addrs := make([]string, 0, len(byAddr))
-		for addr := range byAddr {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		locs := make([]fetchLoc, 0, len(addrs))
-		for _, addr := range addrs {
-			locs = append(locs, fetchLoc{Addr: addr, Tasks: byAddr[addr]})
-		}
-		repAddrs := make([]string, 0, len(repBy))
-		for addr := range repBy {
-			repAddrs = append(repAddrs, addr)
-		}
-		sort.Strings(repAddrs)
-		reps := make([]fetchLoc, 0, len(repAddrs))
-		for _, addr := range repAddrs {
-			reps = append(reps, fetchLoc{Addr: addr, Tasks: repBy[addr]})
-		}
-		return locs, inline, reps
-	}
+	stats := plan.stats
 
 	queue := make([]shardTask, 0, R)
 	for p := 0; p < R; p++ {
@@ -307,7 +318,7 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 			// the liveness view of this instant — not in the dispatch
 			// goroutine, where the shared replica cache and stats would
 			// race.
-			locs, inline, reps := buildPlan(t.id)
+			locs, inline, reps, _ := plan.route(t.id, true)
 			go dispatchReduce(w, t, locs, inline, reps, launch)
 
 		case r := <-resultCh:
@@ -424,8 +435,8 @@ func (m *Master) runReducePhase(ctx context.Context, plan *reducePlan, stats *St
 		}
 	}
 	abandon()
-	if !recoveryAt.IsZero() {
-		stats.RecoveryWall = time.Since(recoveryAt)
+	if !plan.recoveryAt.IsZero() {
+		stats.RecoveryWall = time.Since(plan.recoveryAt)
 		m.metrics.recoverySeconds.Observe(stats.RecoveryWall.Seconds())
 	}
 	return finals, nil

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"ipso/internal/obs"
 )
 
 // startReduceCluster boots a master with the given config and n
@@ -303,6 +305,74 @@ func TestRogueReduceErrorReassigned(t *testing.T) {
 	}
 	if stats.Reassignments == 0 {
 		t.Error("rogue reducer's error frame caused no reassignment")
+	}
+}
+
+// TestReducePlanRoutes pins the one fetch planner early and barrier
+// dispatches share, without sockets: a live primary is fetched from
+// (its live replica named for failover), a dead one is rerouted to its
+// replica or served inline from the master-held copy (an empty slice
+// included, so an early reducer's coverage reaches Total), and an output
+// with no copy left is re-executed from lineage — unless the dispatch is
+// early, which declines the whole plan and counts nothing. Every route
+// around a loss starts the RecoveryWall clock once.
+func TestReducePlanRoutes(t *testing.T) {
+	const R = 2
+	m, err := NewMaster(mustRegistry(t), MasterConfig{Reducers: R, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []string{"a", "b", "dead"} {
+		m.addFetchAddr(addr)
+	}
+	m.markAddrDead("dead")
+	lines := testLines(t, 40)
+	held := runShardPartitioned(wordCountJob(), lines[:20], newShardScratch(), R)
+	if held[0].ID != 0 {
+		t.Fatalf("fixture: the held output has no partition 0 (%+v)", held)
+	}
+	var stats Stats
+	pl := &reducePlan{
+		m: m, stats: &stats, job: wordCountJob(),
+		mapLocs:      map[int]string{0: "a", 1: "dead", 2: "dead", 3: "b"},
+		replicaLocs:  map[int]string{0: "b", 1: "a"},
+		replicaParts: map[int][]partitionPartial{2: {held[0]}},
+		shardRecords: func(task int) []string { return lines[20*(task-3) : 20*(task-2)] },
+	}
+	wantLocs := []fetchLoc{{Addr: "a", Tasks: []int{0, 1}}, {Addr: "b", Tasks: []int{3}}}
+	wantReps := []fetchLoc{{Addr: "b", Tasks: []int{0}}}
+	for p, wantInline := range [][]partitionPartial{
+		{{ID: 2, Partial: held[0].Partial}},
+		{{ID: 2}}, // task 2 held nothing for partition 1: an empty marker
+	} {
+		locs, inline, reps, ok := pl.route(p, false)
+		if !ok || !reflect.DeepEqual(locs, wantLocs) || !reflect.DeepEqual(inline, wantInline) || !reflect.DeepEqual(reps, wantReps) {
+			t.Fatalf("partition %d: route = (%v, %v, %v, %v), want (%v, %v, %v, true)", p, locs, inline, reps, ok, wantLocs, wantInline, wantReps)
+		}
+	}
+	if stats.ReplicaFetches != R || pl.recoveryAt.IsZero() {
+		t.Fatalf("after two reroutes: ReplicaFetches %d, recovery clock %v; want %d and started", stats.ReplicaFetches, pl.recoveryAt, R)
+	}
+	started := pl.recoveryAt
+
+	// Task 4 lost its primary and has no copy anywhere.
+	pl.mapLocs[4] = "dead"
+	if _, _, _, ok := pl.route(0, false); ok {
+		t.Fatal("an early plan needing a map re-execution was not declined")
+	}
+	if stats.ReplicaFetches != R || len(pl.replicaParts) != 1 {
+		t.Fatalf("a declined plan counted %d replica fetches / cached %d copies", stats.ReplicaFetches, len(pl.replicaParts))
+	}
+	_, inline, _, ok := pl.route(0, true)
+	if !ok || len(inline) != 2 || inline[1].ID != 4 {
+		t.Fatalf("barrier plan with a lost output = (%v, %v), want task 4 re-executed inline", inline, ok)
+	}
+	rerun := runShardPartitioned(wordCountJob(), pl.shardRecords(4), newShardScratch(), R)
+	if !reflect.DeepEqual(pl.replicaParts[4], rerun) {
+		t.Fatal("the re-executed map output was not cached where an inline copy would be")
+	}
+	if pl.recoveryAt != started {
+		t.Fatal("a later recovery restarted the RecoveryWall clock")
 	}
 }
 

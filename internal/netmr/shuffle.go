@@ -696,7 +696,7 @@ func (w *Worker) runReduceTask(c *conn, m message, decode time.Duration) bool {
 // foldTaskPartials merges per-map-task partials of one partition, given
 // in ascending map-task order, into its final key space: a streaming
 // fold for jobs with a Combine, a group-then-Reduce for the rest — the
-// same semantics as the master's serialMerge, executed worker-side. The
+// same semantics as the master's fold, executed worker-side. The
 // result lists keys in first-seen order over those inputs. A key one
 // task's partial repeats fails the fold (errDuplicateKey) naming the
 // task, instead of folding the key's value in twice.

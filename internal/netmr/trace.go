@@ -286,10 +286,10 @@ func ReadTraceJSON(r io.Reader) (*JobTrace, error) {
 
 // DerivedStats reconstructs the master-side walls Breakdown needs from
 // the trace's own spans — for reports rendered offline from a WriteJSON
-// dump, where the original Stats is gone. The "merge" phase span is the
-// post-barrier residue by construction (the overlapped portion ran
-// inside the split wall), so MergeOverlapWall stays zero and Ws comes
-// out right; Workers counts the distinct workers that ran launches.
+// dump, where the original Stats is gone. The "merge" phase span covers
+// exactly the MergeWall window (the fold on arrival ran inside the split
+// phase), so Ws comes out right; Workers counts the distinct workers
+// that ran launches.
 func (t *JobTrace) DerivedStats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -373,12 +373,9 @@ func (t *JobTrace) Breakdown(stats Stats) PhaseBreakdown {
 		TotalWall: stats.TotalWall.Seconds(),
 	}
 	// Serial residue: the merge work on the critical path after the split
-	// barrier. The overlapped portion ran under the map wave and is
-	// already inside the split wall.
-	b.Ws = (stats.MergeWall - stats.MergeOverlapWall).Seconds()
-	if b.Ws < 0 {
-		b.Ws = 0
-	}
+	// barrier (or the reduce phase). The fold on arrival ran under the map
+	// wave and is already inside the split wall.
+	b.Ws = stats.MergeWall.Seconds()
 
 	// Group worker sub-phases per launch, then account winning launches
 	// into Wp (map) or Reduce (rtask) and the serialization phases,

@@ -57,7 +57,7 @@ func startTracedCluster(t *testing.T, n int, cfg MasterConfig) *Master {
 // spans nested inside every launch window, and a breakdown whose phases
 // are consistent with the run's stats.
 func TestTracedRunTimeline(t *testing.T) {
-	master := startTracedCluster(t, 2, MasterConfig{Partitions: 2})
+	master := startTracedCluster(t, 2, MasterConfig{})
 	lines := testLines(t, 400)
 	_, stats, err := master.Run(context.Background(), "wordcount", lines, 6)
 	if err != nil {
@@ -170,9 +170,9 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if ds.Workers != stats.Workers {
 		t.Fatalf("derived workers = %d, want %d", ds.Workers, stats.Workers)
 	}
-	mergeDiff := (ds.MergeWall - (stats.MergeWall - stats.MergeOverlapWall)).Abs()
+	mergeDiff := (ds.MergeWall - stats.MergeWall).Abs()
 	if mergeDiff > 5*time.Millisecond {
-		t.Fatalf("derived merge wall %v far from residual merge %v", ds.MergeWall, stats.MergeWall-stats.MergeOverlapWall)
+		t.Fatalf("derived merge wall %v far from the merge tail %v", ds.MergeWall, stats.MergeWall)
 	}
 	var report bytes.Buffer
 	if err := back.WriteReport(&report, ds); err != nil {

@@ -20,11 +20,6 @@ type Worker struct {
 	chaos    *chaos.Injector
 	scratch  *shardScratch // reused across every shard this worker runs
 
-	// partitions is the merge partition count the helloack set; >1 makes
-	// this worker pre-split every result by key hash before shipping it.
-	// Written once by Start before any task arrives.
-	partitions int
-
 	// Distributed-reduce state: reducers is the reduce partition count
 	// the helloack set (written once by Start before any task arrives);
 	// fetchAddr is this worker's shuffle listener address (advertised in
@@ -190,7 +185,6 @@ func (w *Worker) Start(masterAddr string) error {
 	if ack.Type != "helloack" {
 		return fail(fmt.Errorf("netmr: master refused hello: %s", ack.Message))
 	}
-	w.partitions = ack.Partitions
 	w.reducers = ack.Reducers
 	w.store.setReducers(ack.Reducers)
 	if ack.ShuffleMs > 0 {
@@ -351,21 +345,6 @@ func (w *Worker) runTask(c *conn, jobName string, taskID, attempt int, records [
 			w.closeFetchPlane()
 		}
 		return true
-	}
-	if w.partitions > 1 {
-		// The master runs a partitioned merge: ship the result pre-split
-		// by key hash so the merge engine routes it straight to its
-		// partition folders — the hashing cost moves off the master.
-		var parts []partitionPartial
-		var spans []spanSummary
-		if traced {
-			parts, spans = runShardPartitionedTraced(job, records, w.scratch, w.partitions, decode)
-		} else {
-			parts = runShardPartitioned(job, records, w.scratch, w.partitions)
-		}
-		workerTaskSeconds.Observe(time.Since(start).Seconds())
-		workerTasks.With("ok").Inc()
-		return c.send(message{Type: "presult", TaskID: taskID, Attempt: attempt, Parts: parts, Trace: trace, Spans: spans}, 30*time.Second) == nil
 	}
 	var partial pairs
 	var spans []spanSummary
